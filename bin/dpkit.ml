@@ -238,8 +238,9 @@ let serve_cmd =
     Arg.(value & opt int 128 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
   let idle_timeout_arg =
-    let doc = "Close TCP connections with no completed request for $(docv) \
-               seconds (slow-loris defense: partial lines do not count)." in
+    let doc = "Close TCP connections with no completed request or flushed \
+               reply for $(docv) seconds (slow-loris defense: partial lines \
+               do not count)." in
     Arg.(value & opt float 30. & info [ "idle-timeout" ] ~docv:"S" ~doc)
   in
   let request_deadline_arg =
@@ -253,7 +254,10 @@ let serve_cmd =
        coordinator that owns the listener and arbitrates the global \
        budget with fenced ε-leases (requires --tcp and --journal; \
        shard k journals to FILE.shard<k>, lease grants to \
-       FILE.grants). $(docv)=1 is the plain single-process server."
+       FILE.grants). Each worker serves its connections with the same \
+       TCP frontend as $(docv)=1, so --max-conns, --max-inflight, \
+       --idle-timeout and --request-deadline apply per worker. \
+       $(docv)=1 is the plain single-process server."
     in
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
   in
@@ -263,6 +267,16 @@ let serve_cmd =
       match faults_spec with
       | None -> Ok (Dp_engine.Faults.of_env ())
       | Some spec -> Dp_engine.Faults.parse spec
+    in
+    let net port =
+      {
+        Dp_net.Server.default_config with
+        port;
+        max_conns;
+        max_inflight;
+        idle_timeout_s = idle_timeout;
+        reply_deadline_s = request_deadline;
+      }
     in
     match faults_r with
     | Error msg -> `Error (false, "bad --faults: " ^ msg)
@@ -285,6 +299,7 @@ let serve_cmd =
               {
                 (Dp_pool.Pool.default_config ~workers ~port ~journal) with
                 Dp_pool.Pool.seed;
+                net = net port;
                 metrics = metrics_path;
                 faults;
               }
@@ -296,17 +311,11 @@ let serve_cmd =
           match metrics_path with
           | None -> `Ok ()
           | Some path -> (
-              match open_out path with
-              | oc ->
-                  List.iter
-                    (fun l ->
-                      output_string oc l;
-                      output_char oc '\n')
-                    (Dp_engine.Engine.metrics_lines eng);
-                  close_out oc;
-                  `Ok ()
-              | exception Sys_error msg ->
-                  `Error (false, "cannot write metrics: " ^ msg))
+              match
+                Dp_obs.Export.write path (Dp_engine.Engine.metrics_lines eng)
+              with
+              | Ok () -> `Ok ()
+              | Error msg -> `Error (false, "cannot write metrics: " ^ msg))
         in
         let recovered =
           match journal with
@@ -344,17 +353,7 @@ let serve_cmd =
                   exit 70
             in
             let serve_tcp port =
-              let config =
-                {
-                  Dp_net.Server.default_config with
-                  port;
-                  max_conns;
-                  max_inflight;
-                  idle_timeout_s = idle_timeout;
-                  reply_deadline_s = request_deadline;
-                }
-              in
-              match Dp_net.Server.create ~config eng with
+              match Dp_net.Server.create ~config:(net port) eng with
               | Error msg -> `Error (false, "cannot listen: " ^ msg)
               | Ok srv -> (
                   (* a flag flip is all a handler may do; the select

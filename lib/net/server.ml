@@ -24,76 +24,87 @@ let default_config =
   }
 
 (* One connection's whole state machine: bounded line reassembly in,
-   queued requests, one reply frame at a time out. [out]/[out_pos] is
-   the unflushed reply; a conn with a non-empty [out] counts toward the
-   admission depth (its reply occupies the pipeline until the client
-   drains it). *)
+   queued requests (each with its arrival time), one reply frame at a
+   time out. [out]/[out_pos] is the unflushed reply; a conn with a
+   non-empty [out] counts toward the admission depth (its reply
+   occupies the pipeline until the client drains it). *)
 type conn = {
   fd : Unix.file_descr;
   lb : Linebuf.t;
-  requests : Linebuf.line Queue.t;
+  requests : (Linebuf.line * float) Queue.t;
   mutable out : Bytes.t;
   mutable out_pos : int;
+  mutable out_deadline : float;  (** absolute, for the oldest frame in [out] *)
   mutable close_after_flush : bool;
   mutable eof : bool;
   mutable closed : bool;
-  mutable last_request : float;  (** completed-request time, not bytes *)
-  mutable deadline : float;  (** absolute; 0. = no reply in flight *)
+  mutable last_active : float;
+      (** last completed request line or flushed reply; never raw bytes *)
   mutable req_start_ns : int;  (** 0 = no request being served *)
   accept_ns : int;
   mutable replied : bool;  (** first reply fully flushed *)
 }
 
 type t = {
-  eng : Engine.t;
   cfg : config;
-  listener : Unix.file_descr;
+  exec : string -> string list;
+  source : source;
+  mutable listener : Unix.file_descr option;  (** [Listen]'s, until drain *)
   port : int;
   scope : Dp_obs.Metrics.scope;
   faults : Faults.t;
   mutable conns : conn list;
   mutable stopping : bool;
-  mutable listener_open : bool;
-  mutable drained : bool;
 }
+
+and source = Listen | Control of Unix.file_descr * (t -> readable:bool -> unit)
 
 let now_s () = float_of_int (Dp_obs.Clock.now_ns ()) /. 1e9
 
-let create ?(config = default_config) eng =
+let listen (config : config) =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
     Unix.listen fd config.backlog;
     Unix.set_nonblock fd;
-    (match Unix.getsockname fd with
+    match Unix.getsockname fd with
     | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port)
+    | _ -> config.port
   with
-  | port ->
-      Ok
-        {
-          eng;
-          cfg = config;
-          listener = fd;
-          port;
-          scope = Dp_obs.Metrics.global (Engine.metrics eng);
-          faults = Engine.faults eng;
-          conns = [];
-          stopping = false;
-          listener_open = true;
-          drained = false;
-        }
+  | port -> Ok (fd, port)
   | exception Unix.Unix_error (e, fn, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
+let create ?(config = default_config) ?(source = Listen) ?exec eng =
+  let make listener port =
+    {
+      cfg = config;
+      exec = Option.value exec ~default:(Protocol.exec eng);
+      source;
+      listener;
+      port;
+      scope = Dp_obs.Metrics.global (Engine.metrics eng);
+      faults = Engine.faults eng;
+      conns = [];
+      stopping = false;
+    }
+  in
+  match source with
+  | Listen -> Result.map (fun (fd, port) -> make (Some fd) port) (listen config)
+  | Control _ -> Ok (make None config.port)
+
 let port t = t.port
 let conn_count t = List.length t.conns
 let request_stop t = t.stopping <- true
-let draining t = t.stopping
 
 let has_output c = c.out_pos < Bytes.length c.out
+
+(* A conn the exec phase would serve right now: a request is queued
+   and the previous reply is fully flushed. *)
+let runnable c =
+  (not c.closed) && (not (has_output c)) && not (Queue.is_empty c.requests)
 
 (* Admission depth: requests waiting to execute plus replies waiting to
    flush. This is the ONLY input to the shed decision and the
@@ -116,11 +127,13 @@ let overloaded_line t =
   Printf.sprintf "err overloaded retry-after=%d" (retry_after_ms t)
 
 (* Append one reply frame: the reply lines, then the blank-line
-   terminator that lets the client know the frame is complete. *)
-let queue_frame ?(terminated = true) c lines =
+   terminator that lets the client know the frame is complete. A frame
+   queued behind unflushed output keeps the older frame's deadline. *)
+let queue_frame ?(terminated = true) c ~deadline lines =
   let b = Buffer.create 256 in
   if has_output c then
-    Buffer.add_subbytes b c.out c.out_pos (Bytes.length c.out - c.out_pos);
+    Buffer.add_subbytes b c.out c.out_pos (Bytes.length c.out - c.out_pos)
+  else c.out_deadline <- deadline;
   List.iter
     (fun l ->
       Buffer.add_string b l;
@@ -135,10 +148,10 @@ let close_conn t reason c =
     c.closed <- true;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
-    (match reason with
+    match reason with
     | `Normal -> ()
     | `Deadline -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_deadline_closed
-    | `Drain -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_drained)
+    | `Drain -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_drained
   end
 
 let mk_conn fd =
@@ -148,44 +161,46 @@ let mk_conn fd =
     requests = Queue.create ();
     out = Bytes.empty;
     out_pos = 0;
+    out_deadline = 0.;
     close_after_flush = false;
     eof = false;
     closed = false;
-    last_request = now_s ();
-    deadline = 0.;
+    last_active = now_s ();
     req_start_ns = 0;
     accept_ns = Dp_obs.Clock.now_ns ();
     replied = false;
   }
 
-let accept_phase t =
+let adopt t fd =
+  if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
+  else begin
+    Unix.set_nonblock fd;
+    let c = mk_conn fd in
+    if List.length t.conns >= t.cfg.max_conns then begin
+      (* shed at the door, but with a typed reply: the client learns
+         it was load, not its request, and when to come back *)
+      Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
+      c.eof <- true;
+      c.close_after_flush <- true;
+      queue_frame c ~deadline:(now_s () +. t.cfg.reply_deadline_s)
+        [ overloaded_line t ]
+    end
+    else Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
+    t.conns <- c :: t.conns
+  end
+
+let accept_phase t listener =
   if Faults.fire t.faults Faults.Accept_fail then
     (* the connection stays in the kernel backlog for a later turn *)
     ()
   else
-    match Unix.accept t.listener with
+    match Unix.accept listener with
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
       ->
         ()
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        if List.length t.conns >= t.cfg.max_conns then begin
-          (* shed at the door, but with a typed reply: the client learns
-             it was load, not its request, and when to come back *)
-          Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
-          let c = mk_conn fd in
-          c.eof <- true;
-          c.close_after_flush <- true;
-          c.deadline <- now_s () +. t.cfg.reply_deadline_s;
-          queue_frame c [ overloaded_line t ];
-          t.conns <- c :: t.conns
-        end
-        else begin
-          Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
-          t.conns <- mk_conn fd :: t.conns
-        end
+    | fd, _ -> adopt t fd
 
 (* Append floods shed at a lower watermark than everything else: each
    append costs a journal fsync, so a firehose of them would occupy the
@@ -199,7 +214,8 @@ let is_append_line text =
      && String.sub t 0 7 = "append "
 
 let handle_line t c (l : Linebuf.line) =
-  c.last_request <- now_s ();
+  let now = now_s () in
+  c.last_active <- now;
   let bound =
     if is_append_line l.Linebuf.text then
       min t.cfg.max_append_inflight t.cfg.max_inflight
@@ -207,13 +223,9 @@ let handle_line t c (l : Linebuf.line) =
   in
   if depth t >= bound then begin
     Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests_shed;
-    queue_frame c [ overloaded_line t ];
-    if c.deadline = 0. then c.deadline <- now_s () +. t.cfg.reply_deadline_s
+    queue_frame c ~deadline:(now +. t.cfg.reply_deadline_s) [ overloaded_line t ]
   end
-  else begin
-    Queue.push l c.requests;
-    if c.deadline = 0. then c.deadline <- now_s () +. t.cfg.reply_deadline_s
-  end
+  else Queue.push (l, now) c.requests
 
 let read_buf = Bytes.create 4096
 
@@ -239,9 +251,9 @@ let read_phase t c =
    robin fairness), and only once the previous reply frame is fully
    flushed — the reply order on a connection is the request order. *)
 let exec_phase t c =
-  if c.closed || has_output c || Queue.is_empty c.requests then ()
-  else begin
-    let l = Queue.pop c.requests in
+  if runnable c then begin
+    let l, arrived = Queue.pop c.requests in
+    let deadline = arrived +. t.cfg.reply_deadline_s in
     c.req_start_ns <- Dp_obs.Clock.now_ns ();
     Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
     let text, bytes =
@@ -253,7 +265,7 @@ let exec_phase t c =
     let reply =
       if bytes > Protocol.max_line_bytes then
         [ Protocol.oversized_reply bytes ]
-      else Protocol.exec t.eng text
+      else t.exec text
     in
     if Protocol.is_quit text then c.close_after_flush <- true;
     if Faults.fire t.faults Faults.Write_drop then
@@ -262,12 +274,13 @@ let exec_phase t c =
       close_conn t `Normal c
     else if Faults.fire t.faults Faults.Conn_reset then begin
       (* first line only, no terminator: a torn frame mid-reply *)
-      (match reply with
-      | first :: _ -> queue_frame ~terminated:false c [ first ]
-      | [] -> ());
-      c.close_after_flush <- true
+      match reply with
+      | first :: _ ->
+          queue_frame ~terminated:false c ~deadline [ first ];
+          c.close_after_flush <- true
+      | [] -> close_conn t `Normal c
     end
-    else queue_frame c reply
+    else queue_frame c ~deadline reply
   end
 
 let write_phase t c =
@@ -284,6 +297,9 @@ let write_phase t c =
         if not (has_output c) then begin
           c.out <- Bytes.empty;
           c.out_pos <- 0;
+          (* a reply that took longer than the idle timeout to compute
+             must not get its connection closed right after it lands *)
+          c.last_active <- now_s ();
           if not c.replied then begin
             c.replied <- true;
             Dp_obs.Metrics.observe t.scope Dp_obs.Name.Net_accept_to_reply_ns
@@ -294,91 +310,96 @@ let write_phase t c =
               (Dp_obs.Clock.elapsed_ns c.req_start_ns);
             c.req_start_ns <- 0
           end;
-          if Queue.is_empty c.requests then c.deadline <- 0.;
           if c.close_after_flush || (c.eof && Queue.is_empty c.requests) then
             close_conn t `Normal c
         end
 
-(* Deadlines and idle timeouts. [last_request] only advances on a
-   {e completed} request line (or at accept), never on raw bytes — a
-   slow-loris peer dribbling one byte of a never-terminated line per
-   second makes no progress by this clock and is closed at the idle
-   timeout like any silent connection. *)
+(* When this conn next needs attention: the reply deadline of its
+   oldest unanswered request (counted from that request's arrival), or
+   else the end of its idle window. [last_active] never advances on
+   raw bytes — a slow-loris peer dribbling one byte of a never-
+   terminated line per second makes no progress by this clock and is
+   closed at the idle timeout like any silent connection. *)
+let due t c =
+  if has_output c then c.out_deadline
+  else
+    match Queue.peek_opt c.requests with
+    | Some (_, arrived) -> arrived +. t.cfg.reply_deadline_s
+    | None -> c.last_active +. t.cfg.idle_timeout_s
+
 let timeout_phase t =
   let now = now_s () in
-  List.iter
-    (fun c ->
-      if c.closed then ()
-      else if c.deadline > 0. && now > c.deadline then close_conn t `Deadline c
-      else if
-        c.deadline = 0.
-        && Queue.is_empty c.requests
-        && (not (has_output c))
-        && now -. c.last_request > t.cfg.idle_timeout_s
-      then close_conn t `Deadline c)
-    t.conns
+  List.iter (fun c -> if now > due t c then close_conn t `Deadline c) t.conns
 
-let next_wakeup t =
-  let now = now_s () in
-  List.fold_left
-    (fun acc c ->
-      let e =
-        if c.deadline > 0. then c.deadline
-        else c.last_request +. t.cfg.idle_timeout_s
-      in
-      Float.min acc (Float.max 0.01 (e -. now)))
-    1.0 t.conns
+(* The longest a turn may sleep: bounds how late a control hook sees a
+   dead parent, and how late a stop request is noticed without EINTR. *)
+let max_wait_s = 0.25
+
+let wait_s t =
+  if List.exists runnable t.conns then 0.
+  else if t.stopping then 0.02
+  else
+    let now = now_s () in
+    List.fold_left
+      (fun acc c -> Float.min acc (Float.max 0.01 (due t c -. now)))
+      max_wait_s t.conns
+
+let close_listener t =
+  match t.listener with
+  | Some fd ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      t.listener <- None
+  | None -> ()
+
+let publish_gauges t =
+  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
+    (float_of_int (List.length t.conns));
+  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
+    (float_of_int (depth t))
 
 let run t =
   let rec loop () =
-    if t.stopping && t.listener_open then begin
-      (* graceful drain: stop accepting and stop reading; finish what
-         is already in the pipeline, flush it, then leave *)
-      Unix.close t.listener;
-      t.listener_open <- false
-    end;
+    (* graceful drain: stop accepting and stop reading; finish what is
+       already in the pipeline, flush it, then leave *)
+    if t.stopping then close_listener t;
     (* published every turn, including the one that completes the
        drain, so the final metrics snapshot reads 0 *)
-    Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
-      (float_of_int (List.length t.conns));
-    Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
-      (float_of_int (depth t));
-    if t.stopping && t.conns = [] then t.drained <- true
-    else begin
+    publish_gauges t;
+    if not (t.stopping && t.conns = []) then begin
       timeout_phase t;
       if t.stopping then
         List.iter
           (fun c ->
             if
-              (not c.closed)
-              && Queue.is_empty c.requests
+              Queue.is_empty c.requests
               && (not (has_output c))
               && c.req_start_ns = 0
             then close_conn t `Drain c)
           t.conns;
-      if t.stopping && t.conns = [] then t.drained <- true
-      else begin
+      if not (t.stopping && t.conns = []) then begin
         let reads =
-          (if t.listener_open && not t.stopping then [ t.listener ] else [])
+          Option.to_list t.listener
+          @ (match t.source with Control (fd, _) -> [ fd ] | Listen -> [])
           @ List.filter_map
-              (fun c ->
-                if c.closed || c.eof || t.stopping then None else Some c.fd)
+              (fun c -> if c.eof || t.stopping then None else Some c.fd)
               t.conns
         in
         let writes =
           List.filter_map
-            (fun c -> if (not c.closed) && has_output c then Some c.fd else None)
+            (fun c -> if has_output c then Some c.fd else None)
             t.conns
         in
-        let timeout = if t.stopping then 0.02 else next_wakeup t in
         let r, _, _ =
-          try Unix.select reads writes [] timeout
+          try Unix.select reads writes [] (wait_s t)
           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
-        if t.listener_open && List.mem t.listener r then accept_phase t;
-        List.iter
-          (fun c -> if List.mem c.fd r then read_phase t c)
-          t.conns;
+        (match t.source with
+        | Control (fd, hook) -> hook t ~readable:(List.mem fd r)
+        | Listen -> ());
+        (match t.listener with
+        | Some l when List.mem l r -> accept_phase t l
+        | _ -> ());
+        List.iter (fun c -> if List.mem c.fd r then read_phase t c) t.conns;
         List.iter (fun c -> exec_phase t c) t.conns;
         (* opportunistic: try every pending reply, not just the fds
            select confirmed — EAGAIN is handled, and replies queued this
@@ -392,11 +413,5 @@ let run t =
   (* the drain may have closed the last connections mid-turn, after
      this turn's gauge publication — re-publish so the final metrics
      snapshot reflects the drained state *)
-  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
-    (float_of_int (List.length t.conns));
-  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
-    (float_of_int (depth t));
-  if t.listener_open then begin
-    Unix.close t.listener;
-    t.listener_open <- false
-  end
+  publish_gauges t;
+  close_listener t

@@ -1,4 +1,5 @@
-(** Multi-client TCP frontend for the line protocol — [dpkit serve --tcp].
+(** Multi-client TCP frontend for the line protocol — [dpkit serve --tcp]
+    and every worker of [dpkit serve --workers N].
 
     A single-threaded [Unix.select] loop serves many concurrent
     connections, executing requests through {!Dp_engine.Protocol.exec}
@@ -8,16 +9,22 @@
     the reply lines followed by a blank line, so a client can delimit
     multi-line replies without knowing the command grammar.
 
+    Connections come from a {!source}: its own loopback listener, or
+    a control descriptor over which the worker pool passes accepted
+    ones. Both get the same loop, bounds, deadlines and fault points.
+
     {2 Robustness properties}
 
     - {b Bounded memory per connection}: request lines are reassembled
       by {!Linebuf}, which holds at most [max_line_bytes + 1] bytes per
       connection however a peer fragments an oversized line.
-    - {b Slow-loris defense}: the idle clock advances only on
-      {e completed} request lines, never raw bytes, so dribbling a
-      never-terminated line is indistinguishable from silence and the
-      connection is closed at the idle timeout. Replies that the client
-      will not drain are bounded by the per-request reply deadline.
+    - {b Slow-loris defense}: the idle clock restarts only on a
+      {e completed} request line or a fully flushed reply, never on raw
+      bytes, so dribbling a never-terminated line is indistinguishable
+      from silence and the connection is closed at the idle timeout.
+    - {b Per-request deadline}: a reply not flushed within
+      [reply_deadline_s] of {e its own} request's arrival closes the
+      connection. The loop never sleeps while a queued request can run.
     - {b Admission control}: past [max_conns] connections or
       [max_inflight] queued work items, new arrivals are shed with
       [err overloaded retry-after=MS]. The shed decision and the hint
@@ -54,12 +61,31 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> Dp_engine.Engine.t -> (t, string) result
-(** Bind and listen on loopback. The engine's fault plan and metric
-    registry are picked up from the engine itself. *)
+type source =
+  | Listen  (** bind with {!listen} on [config.port] *)
+  | Control of Unix.file_descr * (t -> readable:bool -> unit)
+      (** no listener: [hook t ~readable] runs after every [select]
+          ([readable] when [fd] is ready); it {!adopt}s connections *)
+
+val listen : config -> (Unix.file_descr * int, string) result
+(** A non-blocking loopback listener and the port it bound. *)
+
+val create :
+  ?config:config ->
+  ?source:source ->
+  ?exec:(string -> string list) ->
+  Dp_engine.Engine.t ->
+  (t, string) result
+(** [exec] (default {!Dp_engine.Protocol.exec}) answers a line within
+    the size cap. The engine's fault plan and metric registry are
+    picked up from the engine itself. *)
+
+val adopt : t -> Unix.file_descr -> unit
+(** Serve an accepted connection, subject to [max_conns]; closed at
+    once after {!request_stop}. *)
 
 val port : t -> int
-(** The bound port (resolved when [config.port = 0]). *)
+(** The bound port ([config.port] for a {!Control} source). *)
 
 val run : t -> unit
 (** Serve until {!request_stop} and the subsequent drain complete.
@@ -71,5 +97,4 @@ val request_stop : t -> unit
     sets a flag — the select loop notices on its next turn, including
     via [EINTR]). *)
 
-val draining : t -> bool
 val conn_count : t -> int

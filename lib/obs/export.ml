@@ -95,6 +95,14 @@ let dump ?trace metrics =
   in
   header :: (scopes @ spans)
 
+let write path lines =
+  match open_out path with
+  | oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+      close_out oc;
+      Ok ()
+  | exception Sys_error msg -> Error msg
+
 (* --- parsing ---------------------------------------------------------- *)
 
 let split_ws s =

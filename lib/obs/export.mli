@@ -35,6 +35,9 @@ val dump : ?trace:Span.t -> Metrics.t -> string list
     latency histogram, and (when [trace] is given) per ring-buffered
     span, oldest first. *)
 
+val write : string -> string list -> (unit, string) result
+(** Write a dump to a file, one line each; [Error] on an I/O failure. *)
+
 val parse_line : string -> (entry, string) result
 
 val parse : string list -> (entry list, string) result

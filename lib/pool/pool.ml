@@ -15,7 +15,7 @@
 open Dp_engine
 module P = Dp_mechanism.Privacy
 module Fd_passing = Dp_net.Fd_passing
-module Linebuf = Dp_net.Linebuf
+module Server = Dp_net.Server
 module Metrics = Dp_obs.Metrics
 module Export = Dp_obs.Export
 module Name = Dp_obs.Name
@@ -25,7 +25,7 @@ let slack = 1e-9
 type config = {
   seed : int;
   workers : int;
-  port : int;
+  net : Server.config;  (** [port] is the coordinator's; the rest is per worker *)
   journal : string;  (** base path; shard k appends to [.shard<k>] *)
   metrics : string option;
   faults : Faults.t;
@@ -38,7 +38,7 @@ let default_config ~workers ~port ~journal =
   {
     seed = 20120330;
     workers;
-    port;
+    net = { Server.default_config with port };
     journal;
     metrics = None;
     faults = Faults.none;
@@ -286,9 +286,8 @@ let merge_lines ?(seed = 20120330) ~journal ~workers () =
 
 (* ------------------------------------------------------------------ *)
 (* Worker: full engine over its shard journal, serving passed
-   connections, charging only through the lease gate. *)
-
-type conn = { fd : Unix.file_descr; buf : Linebuf.t; mutable closed : bool }
+   connections through [Dp_net.Server], charging only through the lease
+   gate. *)
 
 type wlease = {
   mutable wleased : float;  (** cumulative allowance (coordinator's word) *)
@@ -306,9 +305,10 @@ type worker = {
   shard : int;
   token : int;
   wleases : (string, wlease) Hashtbl.t;
-  mutable conns : conn list;
+  mutable passed : Unix.file_descr list;
+      (** connections received, newest first, awaiting {!Server.adopt} *)
   mutable doregs : string list;  (** queued broadcasts, applied between requests *)
-  mutable draining : bool;
+  stop : bool ref;  (** SIGTERM/SIGINT or a [drain] message *)
   mutable lost : bool;  (** fencing token superseded: refuse fresh charges *)
   mutable coord_gone : bool;
 }
@@ -321,12 +321,6 @@ let wlease w ds =
       Hashtbl.add w.wleases ds l;
       l
 
-let close_conn c =
-  if not c.closed then begin
-    c.closed <- true;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  end
-
 (* Apply a control message that can arrive at any time — including in
    the middle of a lease RPC wait. Returns the raw message for the
    waiter to also interpret. *)
@@ -334,15 +328,13 @@ let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
   (match fd with
   | Some cfd -> (
       match split_ws msg with
-      | "conn" :: _ ->
-          w.conns <-
-            { fd = cfd; buf = Linebuf.create (); closed = false } :: w.conns
+      | "conn" :: _ -> w.passed <- cfd :: w.passed
       | _ -> ( try Unix.close cfd with Unix.Unix_error _ -> ()))
   | None -> ());
   (match split_ws msg with
   | "doreg" :: rest -> w.doregs <- String.concat " " rest :: w.doregs
   | "lost" :: _ -> w.lost <- true
-  | [ "drain" ] -> w.draining <- true
+  | [ "drain" ] -> w.stop := true
   | "grant" :: toks -> (
       (* absolute state: safe to apply whenever it lands, even as a
          stray reply to a timed-out request *)
@@ -436,24 +428,6 @@ let apply_doregs w =
   w.doregs <- [];
   List.iter (fun line -> ignore (Protocol.exec w.eng line)) pending
 
-let write_frame c lines =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun l ->
-      Buffer.add_string b l;
-      Buffer.add_char b '\n')
-    lines;
-  Buffer.add_char b '\n';
-  let s = Buffer.contents b in
-  let len = String.length s in
-  try
-    let rec go off =
-      if off < len then
-        go (off + Unix.write_substring c.fd s off (len - off))
-    in
-    go 0
-  with Unix.Unix_error _ -> close_conn c
-
 let do_register w text =
   (* the coordinator re-tokenizes, so match its normalized echo *)
   let norm = String.concat " " (split_ws text) in
@@ -476,81 +450,44 @@ let do_register w text =
     | Some (`Err msg) -> [ msg ]
     | None -> [ "err transient registration timed out (retry)" ]
 
-let serve_line w c (line : Linebuf.line) =
-  if c.closed then ()
-  else if line.Linebuf.bytes > Protocol.max_line_bytes then
-    write_frame c [ Protocol.oversized_reply line.Linebuf.bytes ]
-  else begin
-    let text = line.Linebuf.text in
-    let toks = split_ws text in
-    if toks = [] then ()
-    else begin
-      Faults.check (Engine.faults w.eng) Faults.Worker_crash;
-      let reply =
-        match toks with
-        | "register" :: _ -> do_register w text
-        | _ -> Protocol.exec w.eng text
-      in
-      write_frame c reply;
-      if Protocol.is_quit text then close_conn c
-    end
-  end
+(* The server's [exec]: a registration is arbitrated by the
+   coordinator first; everything else is the plain protocol. *)
+let exec w text =
+  Faults.check (Engine.faults w.eng) Faults.Worker_crash;
+  match split_ws text with
+  | "register" :: _ -> do_register w text
+  | _ -> Protocol.exec w.eng text
 
-let read_conn w c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> close_conn c
-  | 0 -> close_conn c
-  | n -> List.iter (serve_line w c) (Linebuf.feed c.buf buf 0 n)
+(* The server's control hook, run once per loop turn: absorb one
+   control message, adopt passed connections, apply queued
+   registrations between requests, and turn a drain, a lost fence or a
+   dead coordinator into a graceful stop. *)
+let on_turn w srv ~readable =
+  (if readable then
+     match Fd_passing.recv w.ctrl with
+     | None -> w.coord_gone <- true
+     | Some received -> ignore (absorb_ctrl w received));
+  List.iter (Server.adopt srv) (List.rev w.passed);
+  w.passed <- [];
+  apply_doregs w;
+  if Unix.getppid () <> w.coord_pid then w.coord_gone <- true;
+  if !(w.stop) || w.lost || w.coord_gone then
+    Server.request_stop srv
 
 let worker_finish w ~code =
-  List.iter close_conn w.conns;
-  (match w.wcfg.metrics with
-  | None -> ()
-  | Some base -> (
-      let path = shard_metrics base w.shard in
-      match open_out path with
-      | oc ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            (Engine.metrics_lines w.eng);
-          close_out oc
-      | exception Sys_error _ -> ()));
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) w.passed;
+  Option.iter
+    (fun base ->
+      ignore
+        (Export.write (shard_metrics base w.shard) (Engine.metrics_lines w.eng)))
+    w.wcfg.metrics;
   Engine.close w.eng;
   exit code
 
-let rec worker_loop w term =
-  if !term then w.draining <- true;
-  if Unix.getppid () <> w.coord_pid then w.coord_gone <- true;
-  apply_doregs w;
-  w.conns <- List.filter (fun c -> not c.closed) w.conns;
-  if w.lost then worker_finish w ~code:75
-  else if w.coord_gone then worker_finish w ~code:0
-  else if w.draining then worker_finish w ~code:0
-  else begin
-    let fds = w.ctrl :: List.map (fun c -> c.fd) w.conns in
-    (match Unix.select fds [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-        if List.mem w.ctrl ready then begin
-          match Fd_passing.recv w.ctrl with
-          | None -> w.coord_gone <- true
-          | Some received -> ignore (absorb_ctrl w received)
-        end;
-        List.iter
-          (fun c ->
-            if (not c.closed) && List.mem c.fd ready then read_conn w c)
-          w.conns);
-    worker_loop w term
-  end
-
 let worker_main cfg ~shard ~token ~ctrl =
-  let term = ref false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> term := true));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> term := true));
+  let stop = ref false in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true));
+  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* held (never closed) until this process dies: the next incarnation
      and any restarted coordinator block on it, not on luck *)
@@ -574,19 +511,30 @@ let worker_main cfg ~shard ~token ~ctrl =
       shard;
       token;
       wleases = Hashtbl.create 8;
-      conns = [];
+      passed = [];
       doregs = [];
-      draining = false;
+      stop;
       lost = false;
       coord_gone = false;
     }
   in
   Engine.set_lease_gate eng (Some (fun ~dataset ~face -> gate w ~dataset ~face));
-  match worker_loop w term with
-  | _ -> assert false
-  | exception Faults.Crash p ->
-      Printf.eprintf "dpkit: injected crash at %s\n%!" (Faults.point_name p);
-      exit 70
+  (* the worker process's composition root, as bin/dpkit.ml is for N=1:
+     the frontend gets the engine for Protocol.exec, its metrics and
+     its fault plan, never a stream to draw from *)
+  let source = Server.Control (ctrl, on_turn w) in
+  match
+    Server.create ~config:cfg.net ~source ~exec:(exec w) eng  (* flow:allow F3 — worker composition root *)
+  with
+  | Error msg ->
+      Printf.eprintf "pool: worker shard=%d: %s\n%!" shard msg;
+      exit 1
+  | Ok srv -> (
+      match Server.run srv with  (* flow:allow F3 — worker composition root *)
+      | () -> worker_finish w ~code:(if w.lost then 75 else 0)
+      | exception Faults.Crash p ->
+          Printf.eprintf "dpkit: injected crash at %s\n%!" (Faults.point_name p);
+          exit 70)
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator. *)
@@ -1031,16 +979,9 @@ let write_merged_metrics coord =
       Metrics.set_gauge g Name.Pool_workers (float_of_int coord.cfg.workers);
       Metrics.set_gauge g Name.Pool_eps_outstanding
         (Hashtbl.fold (fun _ l acc -> acc +. Lease.outstanding l) coord.leases 0.);
-      (match open_out base with
-      | oc ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            (Export.dump reg);
-          close_out oc
-      | exception Sys_error msg ->
-          Printf.eprintf "pool: cannot write metrics: %s\n%!" msg)
+      match Export.write base (Export.dump reg) with
+      | Ok () -> ()
+      | Error msg -> Printf.eprintf "pool: cannot write metrics: %s\n%!" msg
 
 let begin_drain coord =
   if not coord.draining then begin
@@ -1058,6 +999,50 @@ let begin_drain coord =
       (fun w -> if w.live then ignore (send_ctrl w.cctrl "drain"))
       coord.cworkers
   end
+
+(* Spawn the workers, then accept and pass connections, answer lease
+   and registration RPCs and reap workers until a stop request has
+   drained every worker. *)
+let serve coord listener ~port ~stop =
+  coord.listener <- Some listener;
+  for k = 0 to coord.cfg.workers - 1 do
+    ignore (spawn_worker coord k)
+  done;
+  Printf.printf "listening port=%d workers=%d\n%!" port coord.cfg.workers;
+  let rec loop () =
+    reap coord;
+    if !stop then begin_drain coord;
+    if not (coord.draining && live_workers coord = []) then begin
+      let fds =
+        Option.to_list coord.listener
+        @ List.map (fun w -> w.cctrl) (live_workers coord)
+      in
+      (match Unix.select fds [] [] 0.25 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | ready, _, _ ->
+          List.iter
+            (fun fd ->
+              match coord.listener with
+              | Some l when fd = l -> (
+                  match Unix.accept l with
+                  | conn, _ -> assign_conn coord conn
+                  | exception Unix.Unix_error _ -> ())
+              | _ -> (
+                  match
+                    Array.to_list coord.cworkers
+                    |> List.find_opt (fun w -> w.live && w.cctrl = fd)
+                  with
+                  | Some w -> handle_ctrl_msg coord w
+                  | None -> ()))
+            ready);
+      loop ()
+    end
+  in
+  loop ();
+  write_merged_metrics coord;
+  Grant_wal.close coord.wal;
+  (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
+  Printf.printf "drained\n%!"
 
 let run_locked cfg ~gen_lock ~stop =
   let had_state =
@@ -1186,67 +1171,17 @@ let run_locked cfg ~gen_lock ~stop =
             done;
             if not !recovery_ok then 1
             else
-              try
-                let listener =
-                  Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
-                in
-                Unix.setsockopt listener Unix.SO_REUSEADDR true;
-                Unix.bind listener
-                  (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.port));
-                Unix.listen listener 64;
-                coord.listener <- Some listener;
-                let port =
-                  match Unix.getsockname listener with
-                  | Unix.ADDR_INET (_, p) -> p
-                  | _ -> cfg.port
-                in
-                for k = 0 to cfg.workers - 1 do
-                  ignore (spawn_worker coord k)
-                done;
-                Printf.printf "listening port=%d workers=%d\n%!" port
-                  cfg.workers;
-                let rec loop () =
-                  reap coord;
-                  if !stop then begin_drain coord;
-                  if coord.draining && live_workers coord = [] then ()
-                  else begin
-                    let fds =
-                      (match coord.listener with
-                      | Some fd when not coord.draining -> [ fd ]
-                      | _ -> [])
-                      @ List.map (fun w -> w.cctrl) (live_workers coord)
-                    in
-                    (match Unix.select fds [] [] 0.25 with
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                    | ready, _, _ ->
-                        List.iter
-                          (fun fd ->
-                            match coord.listener with
-                            | Some l when fd = l -> (
-                                match Unix.accept l with
-                                | conn, _ -> assign_conn coord conn
-                                | exception Unix.Unix_error _ -> ())
-                            | _ -> (
-                                match
-                                  Array.to_list coord.cworkers
-                                  |> List.find_opt (fun w ->
-                                         w.live && w.cctrl = fd)
-                                with
-                                | Some w -> handle_ctrl_msg coord w
-                                | None -> ()))
-                          ready);
-                    loop ()
-                  end
-                in
-                loop ();
-                write_merged_metrics coord;
-                Grant_wal.close coord.wal;
-                (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
-                Printf.printf "drained\n%!";
-                0
-              with Unix.Unix_error (e, fn, _) ->
-                Printf.eprintf "pool: %s: %s\n%!" fn (Unix.error_message e);
-                1))
+              match Server.listen cfg.net with
+              | Error msg ->
+                  Printf.eprintf "pool: %s\n%!" msg;
+                  1
+              | Ok (listener, port) -> (
+                  match serve coord listener ~port ~stop with
+                  | () -> 0
+                  | exception Unix.Unix_error (e, fn, _) ->
+                      Printf.eprintf "pool: %s: %s\n%!" fn
+                        (Unix.error_message e);
+                      1)))
 
 let run cfg =
   if cfg.workers < 2 then invalid_arg "Pool.run: need at least 2 workers";

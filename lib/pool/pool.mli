@@ -4,6 +4,8 @@
 
     Topology: the coordinator accepts connections and passes each
     descriptor ({!Dp_net.Fd_passing}) to a live worker round-robin.
+    Each serves them through {!Dp_net.Server}, as [dpkit serve --tcp]
+    does, so the TCP bounds in [net] apply per worker.
     Every worker runs the full {!Dp_engine.Protocol} against its own
     shard journal [<journal>.shard<k>] and may charge budget only
     through its lease: before any ledger spend the engine's lease gate
@@ -16,11 +18,11 @@
     Fencing: each worker incarnation carries a monotonically increasing
     token, durable in the WAL before the fork. A lease request under a
     superseded token is answered [lost]; the worker then refuses the
-    query with [err degraded reason=lease-lost …] and exits (code 75)
-    for a fenced restart. A dead worker's unspent lease is reclaimed
-    {e only after} its shard journal is replayed, so the arbiter's
-    invariant — [Σ reclaimed spend + Σ outstanding leases ≤ global ε]
-    per dataset — holds at every crash point.
+    query with [err degraded reason=lease-lost …], drains, and exits
+    (code 75) for a fenced restart. A dead worker's unspent lease is
+    reclaimed {e only after} its shard journal is replayed, so the
+    arbiter's invariant — [Σ reclaimed spend + Σ outstanding leases ≤
+    global ε] per dataset — holds at every crash point.
 
     Recovery: a restarted coordinator merges the grant WAL with every
     shard journal ({!merge_lines}), prints the merge, and refuses to
@@ -40,7 +42,7 @@
 type config = {
   seed : int;  (** engine seed for every worker (default 20120330) *)
   workers : int;  (** shard count, ≥ 2 (N=1 is plain [dpkit serve]) *)
-  port : int;  (** TCP port for the coordinator's listener *)
+  net : Dp_net.Server.config;  (** [port], [backlog]: the coordinator's *)
   journal : string;
       (** base path; shard [k] journals to [.shard<k>], the grant WAL
           to [.grants], merged metrics shards to [<metrics>.shard<k>] *)
@@ -56,8 +58,8 @@ type config = {
 }
 
 val default_config : workers:int -> port:int -> journal:string -> config
-(** seed 20120330, no metrics, no faults, quantum 0.5, ttl 5 s,
-    max_restarts 100. *)
+(** seed 20120330, {!Dp_net.Server.default_config} on [port], no
+    metrics, no faults, quantum 0.5, ttl 5 s, max_restarts 100. *)
 
 val shard_journal : string -> int -> string
 val wal_path : string -> string
@@ -77,7 +79,8 @@ val run : config -> int
 (** Run the pool until SIGTERM/SIGINT, then drain: close the listener,
     ask workers to finish in-flight requests, merge their metrics
     shards, print [drained]. Returns the process exit code (1 when
-    recovery finds a violated invariant or the WAL cannot be opened). *)
+    recovery finds a violated invariant or the WAL or the port cannot
+    be opened). *)
 
 (**/**)
 

@@ -1,9 +1,11 @@
 (* The TCP frontend: bounded line reassembly across segments, reply
    framing, admission control (budget-independent by construction),
-   slow-loris idle timeouts, graceful drain, and the retrying client
-   against torn connections. The server runs in a thread inside the
-   test process; clients are raw sockets so the tests control exactly
-   how bytes hit the wire. *)
+   slow-loris idle timeouts, per-request deadlines, graceful drain, and
+   the retrying client against torn connections. The hardening tests
+   run twice: against a server on a thread of the test process (N=1)
+   and against a forked two-worker pool (N=2), whose workers serve
+   through the same [Server]. Clients are raw sockets so the tests
+   control exactly how bytes hit the wire. *)
 
 open Dp_engine
 open Dp_net
@@ -143,16 +145,24 @@ let send fd s =
   in
   go 0
 
+(* A connection's reply reader: lines already reassembled but not yet
+   consumed stay in [pending], since one read may carry several
+   pipelined frames. *)
+type reader = { lb : Linebuf.t; mutable pending : Linebuf.line list }
+
+let reader () = { lb = Linebuf.create (); pending = [] }
+
 (* Read one blank-line-terminated reply frame; [`Eof] on a torn frame. *)
-let read_frame ?(timeout = 5.) fd lb =
+let read_frame ?(timeout = 5.) fd r =
   let buf = Bytes.create 4096 in
   let deadline = Unix.gettimeofday () +. timeout in
-  let rec go acc pending =
-    match pending with
+  let rec go acc =
+    match r.pending with
     | l :: rest ->
+        r.pending <- rest;
         if l.Linebuf.text = "" then
           `Frame (List.rev_map (fun (x : Linebuf.line) -> x.text) acc)
-        else go (l :: acc) rest
+        else go (l :: acc)
     | [] ->
         let left = deadline -. Unix.gettimeofday () in
         if left <= 0. then `Timeout
@@ -162,10 +172,12 @@ let read_frame ?(timeout = 5.) fd lb =
           | _ -> (
               match Unix.read fd buf 0 4096 with
               | 0 -> `Eof
-              | n -> go acc (Linebuf.feed lb buf 0 n)
+              | n ->
+                  r.pending <- Linebuf.feed r.lb buf 0 n;
+                  go acc
               | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof))
   in
-  go [] []
+  go []
 
 let frame ?timeout fd lb =
   match read_frame ?timeout fd lb with
@@ -179,7 +191,7 @@ let frame ?timeout fd lb =
 let tcp_end_to_end () =
   with_server (fun _eng port ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       send fd "register demo rows=200 eps=2\n";
       (match frame fd lb with
       | first :: _ ->
@@ -218,7 +230,7 @@ let tcp_end_to_end () =
 let tcp_two_clients () =
   with_server (fun _eng port ->
       let a = connect port and b = connect port in
-      let la = Linebuf.create () and lbuf = Linebuf.create () in
+      let la = reader () and lbuf = reader () in
       send a "register demo rows=100 eps=1\n";
       ignore (frame a la);
       (* interleaved requests on two connections are answered
@@ -243,7 +255,7 @@ let tcp_two_clients () =
 let tcp_oversized_split () =
   with_server (fun _eng port ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       let chunk = String.make 500 'x' in
       for _ = 1 to 10 do
         send fd chunk
@@ -266,51 +278,186 @@ let tcp_oversized_split () =
       Unix.close fd)
 
 (* ------------------------------------------------------------------ *)
+(* Launchers: the same hardening tests run against the single-process
+   server (N=1, [Server] on a thread of this process) and the worker
+   pool (N=2, a forked [Pool.run] whose workers serve through [Server]
+   too). TCP bounds apply per worker, so tests that fill a bound scale
+   by [n]. *)
+
+type served = {
+  port : int;
+  inproc : (Engine.t * Server.t) option;  (** at N=1 only *)
+  stop : unit -> unit;  (** drain (idempotent); at N=2 also asserts exit 0 *)
+}
+
+type launcher = { n : int; launch : Server.config -> served }
+
+let in_process =
+  let launch config =
+    let eng = Engine.create ~seed:11 () in
+    let srv = ok (Server.create ~config eng) in
+    let th = Thread.create Server.run srv in
+    let stopped = ref false in
+    {
+      port = Server.port srv;
+      inproc = Some (eng, srv);
+      stop =
+        (fun () ->
+          if not !stopped then begin
+            stopped := true;
+            Server.request_stop srv;
+            Thread.join th
+          end);
+    }
+  in
+  { n = 1; launch }
+
+let rec waitpid_noeintr pid =
+  try snd (Unix.waitpid [] pid)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_noeintr pid
+
+let rm_rf dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let forked_pool =
+  let launch config =
+    let dir = Filename.temp_file "dpkit_pool" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o700;
+    let journal = Filename.concat dir "j" in
+    let rd, wr = Unix.pipe () in
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+        (* the coordinator: its banner and drain marker go to the pipe *)
+        Unix.close rd;
+        Unix.dup2 wr Unix.stdout;
+        let code =
+          try
+            Dp_pool.Pool.run
+              {
+                (Dp_pool.Pool.default_config ~workers:2 ~port:0 ~journal) with
+                seed = 11;
+                net = config;
+                (* as the in-process engine: $DPKIT_FAULTS, if set *)
+                faults = Faults.of_env ();
+              }
+          with _ -> 2
+        in
+        Unix._exit code
+    | pid ->
+        Unix.close wr;
+        let ic = Unix.in_channel_of_descr rd in
+        let rec banner () =
+          match input_line ic with
+          | l when String.starts_with ~prefix:"listening port=" l ->
+              Scanf.sscanf l "listening port=%d" Fun.id
+          | _ -> banner ()
+          | exception End_of_file -> Alcotest.fail "pool exited before listening"
+        in
+        let port = banner () in
+        let stopped = ref false in
+        {
+          port;
+          inproc = None;
+          stop =
+            (fun () ->
+              if not !stopped then begin
+                stopped := true;
+                Unix.kill pid Sys.sigterm;
+                let st = waitpid_noeintr pid in
+                let rest = In_channel.input_all ic in
+                close_in ic;
+                let merge =
+                  Dp_pool.Pool.merge_lines ~seed:11 ~journal ~workers:2 ()
+                in
+                rm_rf dir;
+                Alcotest.(check bool) "pool drained with exit 0" true
+                  (st = Unix.WEXITED 0 && contains ~sub:"drained" rest);
+                match merge with
+                | Ok (_, invariant_ok) ->
+                    Alcotest.(check bool) "merged ledger invariant" true invariant_ok
+                | Error e -> Alcotest.failf "pool merge: %s" e
+              end);
+        }
+  in
+  { n = 2; launch }
+
+let launchers = [ in_process; forked_pool ]
+
+let with_launched ?(config = default_test_config) l f =
+  let s = l.launch config in
+  Fun.protect ~finally:s.stop (fun () -> f s)
+
+(* One request on a fresh connection, in lockstep. *)
+let request port line =
+  let fd = connect port in
+  let lb = reader () in
+  send fd (line ^ "\n");
+  let reply = frame fd lb in
+  Unix.close fd;
+  reply
+
+let expect_ok what = function
+  | first :: _ when contains ~sub:"ok" first -> ()
+  | r -> Alcotest.failf "%s failed: %s" what (String.concat "|" r)
+
+(* ------------------------------------------------------------------ *)
 (* Admission control *)
 
 (* The pinned invariant: the shed reply is computed from queue depth
    only. A server with a full budget and a server with an exhausted
    budget must shed byte-identically — if they differed, being shed
-   would leak budget state to an unauthenticated peer. *)
-let shed_reply_of port =
-  let holder = connect port in
-  let hl = Linebuf.create () in
-  send holder "help\n";
-  ignore (frame holder hl);
-  (* holder is accepted for sure; the next conn is over max_conns=1 *)
+   would leak budget state to an unauthenticated peer. With
+   max_conns=1 per worker, [n] answered holders fill every worker; the
+   next connection is over the bound wherever it lands. *)
+let shed_reply_of l ~setup port =
+  let holders = List.init l.n (fun _ -> (connect port, reader ())) in
+  let last_setup = ref [] in
+  List.iteri
+    (fun i (fd, lb) ->
+      List.iter
+        (fun line ->
+          send fd (line ^ "\n");
+          let reply = frame fd lb in
+          if i = 0 then last_setup := reply)
+        (if i = 0 then setup else [ "help" ]))
+    holders;
   let shed = connect port in
-  let sl = Linebuf.create () in
+  let sl = reader () in
   let reply = frame shed sl in
   (match read_frame ~timeout:2. shed sl with
   | `Eof -> ()
   | _ -> Alcotest.fail "shed connection must be closed");
   Unix.close shed;
-  Unix.close holder;
-  reply
+  List.iter (fun (fd, _) -> Unix.close fd) holders;
+  (reply, !last_setup)
 
-let shedding_budget_independent () =
+let shedding_budget_independent l () =
   let config = { default_test_config with max_conns = 1 } in
-  let r_full =
-    with_server ~config (fun eng port ->
-        (match Protocol.exec eng "register demo rows=50 eps=100" with
-        | first :: _ when contains ~sub:"ok" first -> ()
-        | _ -> Alcotest.fail "register failed");
-        shed_reply_of port)
+  let r_full, _ =
+    with_launched ~config l (fun s ->
+        shed_reply_of l ~setup:[ "register demo rows=50 eps=100" ] s.port)
   in
-  let r_exhausted =
-    with_server ~config (fun eng port ->
-        (match Protocol.exec eng "register demo rows=50 eps=0.2" with
-        | first :: _ when contains ~sub:"ok" first -> ()
-        | _ -> Alcotest.fail "register failed");
-        (* burn the whole budget, then some *)
-        ignore (Protocol.exec eng "query demo count eps=0.2");
-        (match Protocol.exec eng "query demo count eps=0.1" with
-        | [ line ] ->
-            Alcotest.(check bool) "budget is exhausted" true
-              (contains ~sub:"err budget-exceeded" line)
-        | _ -> Alcotest.fail "expected budget-exceeded");
-        shed_reply_of port)
+  let r_exhausted, last =
+    with_launched ~config l (fun s ->
+        (* burn the whole budget, then some, on the first holder *)
+        shed_reply_of l
+          ~setup:
+            [
+              "register demo rows=50 eps=0.2";
+              "query demo count eps=0.2";
+              "query demo count eps=0.1";
+            ]
+          s.port)
   in
+  (match last with
+  | [ line ] ->
+      Alcotest.(check bool) "budget is exhausted" true
+        (contains ~sub:"err budget-exceeded" line)
+  | _ -> Alcotest.fail "expected budget-exceeded");
   (match r_full with
   | [ line ] ->
       Alcotest.(check bool) "typed overloaded reply" true
@@ -319,16 +466,14 @@ let shedding_budget_independent () =
   Alcotest.(check (list string))
     "shed reply independent of budget state" r_full r_exhausted
 
-let inflight_shedding () =
+let inflight_shedding l () =
   (* max_inflight=1: with one reply parked unflushed, a second request
      on another connection is shed with a typed, depth-scaled hint *)
   let config = { default_test_config with max_inflight = 1 } in
-  with_server ~config (fun eng port ->
-      (match Protocol.exec eng "register demo rows=50 eps=10" with
-      | first :: _ when contains ~sub:"ok" first -> ()
-      | _ -> Alcotest.fail "register failed");
-      let a = connect port and b = connect port in
-      let la = Linebuf.create () and lbuf = Linebuf.create () in
+  with_launched ~config l (fun s ->
+      expect_ok "register" (request s.port "register demo rows=50 eps=10");
+      let a = connect s.port and b = connect s.port in
+      let la = reader () and lbuf = reader () in
       (* a queues a request but never reads the reply: after exec its
          unflushed frame still occupies the pipeline only until the
          kernel buffers it, so park a second one behind it *)
@@ -346,14 +491,43 @@ let inflight_shedding () =
       Unix.close a;
       Unix.close b)
 
+(* A client that floods requests and never reads its replies must not
+   wedge the process serving it: at N=2 one of the two connections
+   opened after it lands on the flooder's own worker. A small receive
+   buffer makes the flooder's replies back up quickly. *)
+let flooder ?(lines = 5000) port =
+  let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+  Unix.connect a (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  send a (String.concat "" (List.init lines (fun _ -> "help\n")));
+  a
+
+let flood_without_reading l () =
+  with_launched l (fun s ->
+      let a = flooder s.port in
+      Unix.sleepf 0.2;
+      let others = [ connect s.port; connect s.port ] in
+      (* closed before the drain either way: a server wedged writing to
+         [a] could not drain *)
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close (a :: others))
+        (fun () ->
+          List.iteri
+            (fun i fd ->
+              send fd "help\n";
+              match read_frame ~timeout:3. fd (reader ()) with
+              | `Frame (first :: _) when contains ~sub:"ok commands" first -> ()
+              | _ -> Alcotest.failf "connection %d after the flooder unanswered" i)
+            others))
+
 (* ------------------------------------------------------------------ *)
 (* Timeouts *)
 
-let idle_timeout_slow_loris () =
+let idle_timeout_slow_loris l () =
   let config = { default_test_config with idle_timeout_s = 0.3 } in
-  with_server ~config (fun _eng port ->
-      let fd = connect port in
-      let lb = Linebuf.create () in
+  with_launched ~config l (fun s ->
+      let fd = connect s.port in
+      let lb = reader () in
       (* dribble a never-terminated line: bytes flow, but no request
          ever completes, so the idle clock must not reset *)
       let deadline = Unix.gettimeofday () +. 5. in
@@ -374,59 +548,181 @@ let idle_timeout_slow_loris () =
       dribble ();
       Unix.close fd)
 
+(* A request that runs longer than the idle timeout restarts the idle
+   clock when its reply is flushed: the connection stays usable. *)
+let idle_clock_restarts_on_reply l () =
+  let config = { default_test_config with idle_timeout_s = 0.2 } in
+  with_launched ~config l (fun s ->
+      let fd = connect s.port in
+      let lb = reader () in
+      send fd "register demo rows=400 eps=4 default-eps=0.1\n";
+      expect_ok "register" (frame fd lb);
+      let t0 = Unix.gettimeofday () in
+      send fd "train demo eps=0.1 steps=4000 burn=4000 step-std=0.8\n";
+      expect_ok "train" (frame fd lb);
+      let took = Unix.gettimeofday () -. t0 in
+      send fd "help\n";
+      (match read_frame ~timeout:3. fd lb with
+      | `Frame (first :: _) when contains ~sub:"ok commands" first -> ()
+      | _ ->
+          Alcotest.failf "connection closed after a %.2f s request" took);
+      Unix.close fd)
+
+(* Unread replies are bounded by the request deadline: a flooder that
+   never drains is closed once its replies back up past the kernel's
+   buffers (15 MB of [help] replies, all admitted). Replies already in
+   the kernel sit ahead of the FIN, so probe by writing: the closed
+   socket answers new data with a reset. *)
+let deadline_closes_unread l () =
+  let config =
+    { default_test_config with reply_deadline_s = 0.5; max_inflight = 20_000 }
+  in
+  with_launched ~config l (fun s ->
+      let a = flooder ~lines:10_000 s.port in
+      Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+      Unix.set_nonblock a;
+      Unix.sleepf 1.;
+      let until = Unix.gettimeofday () +. 5. in
+      let rec probe () =
+        if Unix.gettimeofday () > until then
+          Alcotest.fail "flooder never closed by the deadline"
+        else
+          match send a "help\n" with
+          | () | (exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _))
+            ->
+              Unix.sleepf 0.1;
+              probe ()
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+      in
+      probe ())
+
+(* The deadline runs per request, from its arrival: a client that keeps
+   four fast requests outstanding for longer than the deadline is
+   served, not reset. *)
+let deadline_per_request l () =
+  let config = { default_test_config with reply_deadline_s = 0.5 } in
+  with_launched ~config l (fun s ->
+      let fd = connect s.port in
+      let lb = reader () in
+      send fd "help\nhelp\nhelp\nhelp\n";
+      let until = Unix.gettimeofday () +. 2. in
+      while Unix.gettimeofday () < until do
+        ignore (frame fd lb);
+        send fd "help\n"
+      done;
+      for _ = 1 to 4 do
+        ignore (frame fd lb)
+      done;
+      Unix.close fd)
+
+(* Pipelined requests are answered back to back: the loop does not
+   sleep while a queued request is ready to run. *)
+let pipelined_no_stall l () =
+  with_launched l (fun s ->
+      let fd = connect s.port in
+      let lb = reader () in
+      (* one lockstep request first, so the clock starts on a
+         connection the server is already serving *)
+      send fd "help\n";
+      ignore (frame fd lb);
+      let t0 = Unix.gettimeofday () in
+      send fd "help\nhelp\nhelp\n";
+      for _ = 1 to 3 do
+        ignore (frame fd lb)
+      done;
+      let took = Unix.gettimeofday () -. t0 in
+      Unix.close fd;
+      if took >= 0.1 then
+        Alcotest.failf "3 pipelined frames took %.3f s (>= 0.1 s)" took)
+
 (* ------------------------------------------------------------------ *)
 (* Graceful drain *)
 
-let drain_flushes_inflight () =
-  let eng = Engine.create ~seed:11 () in
-  (match Protocol.exec eng "register demo rows=100 eps=5" with
-  | first :: _ when contains ~sub:"ok" first -> ()
-  | _ -> Alcotest.fail "register failed");
-  let srv = ok (Server.create ~config:default_test_config eng) in
-  let th = Thread.create Server.run srv in
-  let fd = connect (Server.port srv) in
-  let lb = Linebuf.create () in
-  send fd "query demo mean(score) eps=0.1\n";
-  (* let the select loop pick the request up — drain deliberately stops
-     reading, so a request still in the socket buffer is the client's
-     to retry, not in-flight *)
-  Unix.sleepf 0.3;
-  (* the reply to the in-flight request must still arrive after stop *)
-  Server.request_stop srv;
-  (match frame fd lb with
-  | [ line ] ->
-      Alcotest.(check bool) "in-flight request answered through drain" true
-        (contains ~sub:"ok seq=" line || contains ~sub:"err" line)
-  | _ -> Alcotest.fail "expected reply through drain");
-  (match read_frame ~timeout:3. fd lb with
-  | `Eof -> ()
-  | _ -> Alcotest.fail "drained server must close the connection");
-  Thread.join th;
-  Unix.close fd;
+let drain_flushes_inflight l () =
+  let s = l.launch default_test_config in
+  Fun.protect ~finally:s.stop (fun () ->
+      expect_ok "register" (request s.port "register demo rows=100 eps=5");
+      let fd = connect s.port in
+      let lb = reader () in
+      send fd "query demo mean(score) eps=0.1\n";
+      (* let the select loop pick the request up — drain deliberately
+         stops reading, so a request still in the socket buffer is the
+         client's to retry, not in-flight *)
+      Unix.sleepf 0.3;
+      (* the reply to the in-flight request must still arrive after
+         stop *)
+      s.stop ();
+      (match frame fd lb with
+      | [ line ] ->
+          Alcotest.(check bool) "in-flight request answered through drain" true
+            (contains ~sub:"ok seq=" line || contains ~sub:"err" line)
+      | _ -> Alcotest.fail "expected reply through drain");
+      (match read_frame ~timeout:3. fd lb with
+      | `Eof -> ()
+      | _ -> Alcotest.fail "drained server must close the connection");
+      Unix.close fd);
   (* post-drain: the engine is intact and consistent *)
-  match Protocol.exec eng "replay demo" with
-  | [ line ] ->
-      Alcotest.(check bool) "audit replay consistent after drain" true
-        (contains ~sub:"ok replay consistent" line)
-  | _ -> Alcotest.fail "expected replay verdict"
+  Option.iter
+    (fun (eng, _) ->
+      match Protocol.exec eng "replay demo" with
+      | [ line ] ->
+          Alcotest.(check bool) "audit replay consistent after drain" true
+            (contains ~sub:"ok replay consistent" line)
+      | _ -> Alcotest.fail "expected replay verdict")
+    s.inproc
 
-let drain_refuses_new_conns () =
-  let eng = Engine.create ~seed:11 () in
-  let srv = ok (Server.create ~config:default_test_config eng) in
-  let th = Thread.create Server.run srv in
-  let port = Server.port srv in
-  Server.request_stop srv;
-  Thread.join th;
-  (match connect port with
+let drain_refuses_new_conns l () =
+  let s = l.launch default_test_config in
+  s.stop ();
+  (match connect s.port with
   | fd ->
       (* a TIME_WAIT race may accept the connect; reads must then EOF *)
-      let lb = Linebuf.create () in
+      let lb = reader () in
       (match read_frame ~timeout:1. fd lb with
       | `Eof | `Timeout -> ()
       | `Frame _ -> Alcotest.fail "drained server answered a new conn");
       Unix.close fd
   | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
-  Alcotest.(check bool) "no connections left" true (Server.conn_count srv = 0)
+  Option.iter
+    (fun (_, srv) ->
+      Alcotest.(check int) "no connections left" 0 (Server.conn_count srv))
+    s.inproc
+
+(* ------------------------------------------------------------------ *)
+(* Differential framing: one trace of non-charging lines gives the same
+   reply bytes at N=1 and N=2. *)
+
+let framing_trace =
+  [ ""; "# comment"; "help"; "bogus"; String.make 5000 'x'; "quit" ]
+
+let reply_stream l =
+  with_launched l (fun s ->
+      let fd = connect s.port in
+      send fd (String.concat "" (List.map (fun l -> l ^ "\n") framing_trace));
+      let out = Buffer.create 4096 and buf = Bytes.create 4096 in
+      let until = Unix.gettimeofday () +. 5. in
+      let rec go () =
+        if Unix.gettimeofday () > until then Alcotest.fail "no close after quit"
+        else
+          match Unix.select [ fd ] [] [] 1. with
+          | [], _, _ -> go ()
+          | _ -> (
+              match Unix.read fd buf 0 4096 with
+              | 0 -> ()
+              | n ->
+                  Buffer.add_subbytes out buf 0 n;
+                  go ())
+      in
+      go ();
+      Unix.close fd;
+      Buffer.contents out)
+
+let framing_parity () =
+  let one = reply_stream in_process in
+  Alcotest.(check bool) "empty line gets a blank frame" true
+    (String.length one > 2 && String.sub one 0 2 = "\n\n");
+  Alcotest.(check string) "N=2 reply bytes equal N=1" one
+    (reply_stream forked_pool)
 
 (* ------------------------------------------------------------------ *)
 (* Retrying client vs injected connection faults *)
@@ -500,7 +796,7 @@ let client_retries_through_restart () =
       Thread.join th2)
     (fun () ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       send fd "help\n";
       (match frame fd lb with
       | first :: _ ->
@@ -510,6 +806,17 @@ let client_retries_through_restart () =
       Unix.close fd)
 
 (* ------------------------------------------------------------------ *)
+
+(* One case per launcher; the N=1 case keeps the bare name. *)
+let per_launcher tests =
+  List.concat_map
+    (fun l ->
+      List.map
+        (fun (name, f) ->
+          let name = if l.n = 1 then name else Printf.sprintf "%s N=%d" name l.n in
+          Alcotest.test_case name `Quick (f l))
+        tests)
+    launchers
 
 let () =
   Alcotest.run "dp_net"
@@ -534,21 +841,29 @@ let () =
             tcp_oversized_split;
         ] );
       ( "admission",
-        [
-          Alcotest.test_case "shed is budget-independent" `Quick
-            shedding_budget_independent;
-          Alcotest.test_case "inflight shedding" `Quick inflight_shedding;
-        ] );
+        per_launcher
+          [
+            ("shed is budget-independent", shedding_budget_independent);
+            ("inflight shedding", inflight_shedding);
+            ("flood without reading", flood_without_reading);
+          ] );
       ( "timeouts",
-        [
-          Alcotest.test_case "slow-loris idle timeout" `Quick
-            idle_timeout_slow_loris;
-        ] );
+        per_launcher
+          [
+            ("slow-loris idle timeout", idle_timeout_slow_loris);
+            ("idle clock restarts on reply", idle_clock_restarts_on_reply);
+            ("deadline closes unread replies", deadline_closes_unread);
+            ("deadline is per request", deadline_per_request);
+            ("pipelined requests do not stall", pipelined_no_stall);
+          ] );
       ( "drain",
-        [
-          Alcotest.test_case "flushes in-flight" `Quick drain_flushes_inflight;
-          Alcotest.test_case "refuses new conns" `Quick drain_refuses_new_conns;
-        ] );
+        per_launcher
+          [
+            ("flushes in-flight", drain_flushes_inflight);
+            ("refuses new conns", drain_refuses_new_conns);
+          ] );
+      ( "differential",
+        [ Alcotest.test_case "framing N=1 vs N=2" `Quick framing_parity ] );
       ( "client",
         [
           Alcotest.test_case "retries through conn-reset" `Quick
