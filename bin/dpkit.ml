@@ -12,7 +12,7 @@
    dpkit certify "sum(income)"        hypothesis-test the claimed (eps, delta)
    dpkit certify ... --via tcp        the same, against a live TCP server
    dpkit certify compare PRE POST     crash-recovery distribution comparison
-   dpkit lint [DIR]                   privacy-invariant source linter (R1..R9) *)
+   dpkit lint [DIR]                   privacy-invariant source linter (R rules + F2) *)
 
 open Cmdliner
 
@@ -548,60 +548,36 @@ let lint_cmd =
     let doc = "List the rules and exit." in
     Arg.(value & flag & info [ "rules" ] ~doc)
   in
-  let flow_arg =
-    let doc =
-      "Delegate R2, R8 and R9 to the interprocedural flow analyzer: \
-       their token findings are replaced by F2/F3 findings over the \
-       same tree (see $(b,dpkit flow)), minus anything accepted in \
-       DIR/flow.baseline. The remaining rules still run as token \
-       checks."
-    in
-    Arg.(value & flag & info [ "flow" ] ~doc)
-  in
-  let run dir format exempt_path rules flow =
+  let run dir format exempt_path rules =
     if rules then begin
       List.iter
         (fun (id, summary) -> Format.printf "%-4s %s@." id summary)
-        Dp_lint.Rules.all;
-      if flow then
-        List.iter
-          (fun (id, summary) -> Format.printf "%-4s %s@." id summary)
-          Dp_flow.Flow.checks;
+        (Dp_lint.Rules.all
+        @ List.filter (fun (id, _) -> id = "F2") Dp_flow.Flow.checks);
       `Ok ()
     end
     else
       match load_exempt exempt_path dir with
       | Error msg -> `Error (false, "bad exemption file: " ^ msg)
       | Ok exempt ->
-          let lexical = Dp_lint.Driver.lint_dir ~exempt dir in
+          (* charge- and gate-before-release are path properties: flow's
+             F2 checks them over the same tree, with its whole
+             suppression stack — inline allows and exemptions via
+             analyze, plus the tree's accepted-findings baseline *)
+          let baseline =
+            Dp_flow.Baseline.load (Filename.concat dir "flow.baseline")
+          in
+          let f2 =
+            List.filter
+              (fun (f : Dp_lint.Report.finding) -> f.Dp_lint.Report.rule = "F2")
+              (Dp_flow.Baseline.filter baseline
+                 (Dp_flow.Flow.analyze ~exempt [ dir ]).Dp_flow.Flow.findings)
+            |> List.map (rebase_flow_finding ~dir)
+          in
           let findings =
-            if not flow then lexical
-            else
-              let delegated = [ "R2"; "R8"; "R9" ] in
-              let kept =
-                List.filter
-                  (fun (f : Dp_lint.Report.finding) ->
-                    not (List.mem f.Dp_lint.Report.rule delegated))
-                  lexical
-              in
-              (* the delegation inherits flow's whole suppression
-                 stack: inline allows and --exempt via analyze, plus
-                 the tree's accepted-findings baseline when present *)
-              let baseline =
-                Dp_flow.Baseline.load (Filename.concat dir "flow.baseline")
-              in
-              let flow_findings =
-                List.filter
-                  (fun (f : Dp_lint.Report.finding) ->
-                    List.mem f.Dp_lint.Report.rule [ "F2"; "F3" ])
-                  (Dp_flow.Baseline.filter baseline
-                     (Dp_flow.Flow.analyze ~exempt [ dir ])
-                       .Dp_flow.Flow.findings)
-                |> List.map (rebase_flow_finding ~dir)
-              in
-              Dp_lint.Report.dedup
-                (List.sort Dp_lint.Report.compare_findings
-                   (kept @ flow_findings))
+            Dp_lint.Report.dedup
+              (List.sort Dp_lint.Report.compare_findings
+                 (Dp_lint.Driver.lint_dir ~exempt dir @ f2))
           in
           let pp =
             match format with
@@ -619,11 +595,11 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Check the source tree against the privacy-invariant rules \
-          (R1..R9); exit 1 on any finding.")
-    Term.(
-      ret
-        (const run $ dir_arg $ format_arg $ exempt_arg $ rules_arg $ flow_arg))
+         "Check the source tree against the privacy-invariant rules (R1, \
+          R3..R7, R9 as token checks; charge- and gate-before-release as \
+          flow's path-sensitive F2, minus DIR/flow.baseline); exit 1 on \
+          any finding.")
+    Term.(ret (const run $ dir_arg $ format_arg $ exempt_arg $ rules_arg))
 
 let flow_cmd =
   let paths_arg =

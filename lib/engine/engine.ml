@@ -281,6 +281,17 @@ let degraded_for t (sv : serving) =
   let lw = sv.dataset.Registry.policy.low_water in
   lw > 0. && (Ledger.remaining sv.ledger).Privacy.epsilon < lw
 
+(* ------------------------------------------------------------------ *)
+(* Fresh releases: one charge-before-release pipeline.
+
+   A query, a training run and a stream open are each a fresh release.
+   Before any planning, [refuse_fresh] turns it away while the journal
+   is down or the dataset is below its low-water mark. Then
+   [charge_fresh] pays for it, and the caller releases only in that
+   call's [Ok] arm. [charge_fresh] is the single owner of the
+   pay-then-release order; flow's F2 checks every release site against
+   it. *)
+
 (* The pool's ε-lease gate, consulted immediately before every ledger
    spend (one-shot queries, training, stream opens — appends are
    pre-paid). [None] is the single-process fast path: no gate, no
@@ -306,63 +317,192 @@ let lease_reject_reason = function
   | Budget_exceeded _ -> "budget-exceeded"
   | _ -> "lease-unavailable"
 
-let submit_serving t sv ?analyst ?epsilon ~dataset query =
-  (
-      let ds = sv.dataset in
-      let eps =
-        match epsilon with Some e -> e | None -> ds.policy.default_epsilon
+(* One fresh release as its audit records and its [Charge] frame name
+   it. *)
+type fresh = {
+  analyst : string option;
+  name : string;  (** the dataset *)
+  query : string;  (** normalized request text *)
+  mech : string;
+  charge : Ledger.charge;
+}
+
+let log_fresh t (f : fresh) ~charged verdict =
+  log_decision t ?analyst:f.analyst ~mechanism:f.mech ~dataset:f.name
+    ~query:f.query ~requested:f.charge.Ledger.budget ~charged
+    ~cache_hit:false ~verdict ()
+
+(* A request turned away before planning or charging: counted as
+   rejected, logged with no face. *)
+let reject_early t (sv : serving) ?analyst ~dataset ~query reason =
+  sv.rejected <- sv.rejected + 1;
+  ignore
+    (log_decision t ?analyst ~dataset ~query ~requested:zero ~charged:zero
+       ~cache_hit:false ~verdict:(Audit_log.Rejected reason) ())
+
+let reject_bad t sv ?analyst ~dataset ~query msg =
+  reject_early t sv ?analyst ~dataset ~query msg;
+  Error (Bad_query msg)
+
+let journal_down =
+  Fatal "journal unavailable: refusing fresh releases, serving cache hits only"
+
+let refuse_fresh t (sv : serving) ~analyst ~dataset ~query =
+  if t.journal_failed then Some journal_down
+  else if degraded_for t sv then begin
+    reject_early t sv ?analyst ~dataset ~query "degraded";
+    Some
+      (Degraded
+         {
+           dataset;
+           remaining = Ledger.remaining sv.ledger;
+           low_water = sv.dataset.Registry.policy.low_water;
+         })
+  end
+  else None
+
+(* A charged request whose answer may not leave the engine. The ledger
+   stays charged, and the audit log and a best-effort [Withheld] frame
+   record the spend, so nothing can under-count: losing the frame only
+   makes recovery over-count [answered], never the budget. *)
+let withhold t (sv : serving) (f : fresh) ~charged reason err =
+  sv.rejected <- sv.rejected + 1;
+  sv.withheld <- sv.withheld + 1;
+  ignore (log_fresh t f ~charged (Audit_log.Charged_unreleased reason));
+  ignore (journal_append t (Journal.Withheld { dataset = f.name; reason }));
+  Error err
+
+(* A released answer, counted and logged; returns its audit seq. *)
+let answered t (sv : serving) (f : fresh) ~charged =
+  sv.answered <- sv.answered + 1;
+  log_fresh t f ~charged Audit_log.Answered
+
+(* Charge-before-release: the lease gate, the ledger spend, the durable
+   [Charge] frame and the crash-after-charge fault point, in that order.
+   [Ok charged] is the marginal increase of the composed spend. The
+   charge is durable before the caller draws any noise, touches the data
+   or creates a handle, so a crash from here on can only over-count
+   spent epsilon. Every [Error] is already counted and logged: a refusal
+   before the spend as rejected, a charge whose frame failed as
+   withheld. *)
+let charge_fresh t (sv : serving) (f : fresh) =
+  let face = f.charge.Ledger.budget in
+  let refused reason =
+    sv.rejected <- sv.rejected + 1;
+    ignore (log_fresh t f ~charged:zero (Audit_log.Rejected reason))
+  in
+  match lease_check t ~dataset:f.name face with
+  | Error e ->
+      refused (lease_reject_reason e);
+      Error e
+  | Ok () -> (
+      let before = Ledger.spent sv.ledger in
+      let c0 = Dp_obs.Clock.now_ns () in
+      let spent =
+        Dp_obs.Span.with_ t.trace ~dataset:f.name Dp_obs.Name.Sp_charge
+          (fun () -> Ledger.spend sv.ledger ?analyst:f.analyst f.charge)
       in
-      let norm = Query.normalize query in
-      (* Cache before planning: a hit replays the stored release without
-         touching the raw data (planning is an O(n) scan), and without
-         consulting the ledger — post-processing is free even after the
-         budget is exhausted, and still served in degraded mode. *)
-      let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
-      let cached =
-        if ds.policy.cache then begin
-          let c0 = Dp_obs.Clock.now_ns () in
-          let hit = Cache.lookup sv.cache key in
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Cache_lookup_ns
-            (Dp_obs.Clock.elapsed_ns c0);
-          hit
-        end
-        else None
-      in
-      match cached with
-      | Some entry ->
-          let seq =
-            log_decision t ?analyst
-              ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
-              ~dataset ~query:norm ~requested:entry.Cache.requested
-              ~charged:zero ~cache_hit:true ~verdict:Audit_log.Cached ()
-          in
-          Ok
+      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
+        (Dp_obs.Clock.elapsed_ns c0);
+      match spent with
+      | Error rejection ->
+          refused "budget-exceeded";
+          Error (Budget_exceeded rejection)
+      | Ok () -> (
+          let after = Ledger.spent sv.ledger in
+          let charged =
             {
-              answer = entry.Cache.answer;
-              mechanism = entry.Cache.mechanism;
-              requested = entry.Cache.requested;
-              charged = zero;
-              cache_hit = true;
-              seq;
+              Privacy.epsilon =
+                Float.max 0. (after.Privacy.epsilon -. before.Privacy.epsilon);
+              delta = Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
             }
-      | None when t.journal_failed ->
-          Error
-            (Fatal
-               "journal unavailable: refusing fresh releases, serving cache \
-                hits only")
-      | None when degraded_for t sv ->
-          sv.rejected <- sv.rejected + 1;
-          ignore
-            (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-               ~charged:zero ~cache_hit:false
-               ~verdict:(Audit_log.Rejected "degraded") ());
-          Error
-            (Degraded
-               {
-                 dataset;
-                 remaining = Ledger.remaining sv.ledger;
-                 low_water = ds.policy.low_water;
-               })
+          in
+          match
+            journal_append t
+              (Journal.Charge
+                 {
+                   Journal.dataset = f.name;
+                   analyst = f.analyst;
+                   query = f.query;
+                   mechanism = f.mech;
+                   face;
+                   marginal = charged;
+                   rho = Ledger.rho_of_charge f.charge;
+                 })
+          with
+          | Error e -> withhold t sv f ~charged "journal" e
+          | Ok () ->
+              Faults.check t.faults Faults.Crash_after_charge;
+              Ok charged))
+
+(* The span/latency wrapper of [submit] and [train] lives outside the
+   serving body so that every exit path — cache hit, rejection, withheld
+   answer, even an injected crash — ends the span and records end-to-end
+   latency. [tag] adds a success's span tags. The latency histogram is
+   picked here from [entry], not passed in: flow's F1 ties every
+   argument of a call to every sink its parameters reach, so a metric
+   name passed next to [serve] would count as tainted by its result. *)
+let traced t ~dataset entry serve tag =
+  match Hashtbl.find_opt t.servings dataset with
+  | None -> Error (Unknown_dataset dataset)
+  | Some sv ->
+      let latency =
+        match entry with
+        | `Submit -> Dp_obs.Name.Submit_ns
+        | `Train -> Dp_obs.Name.Train_ns
+      in
+      let t0 = Dp_obs.Clock.now_ns () in
+      let h = Dp_obs.Span.begin_ t.trace ~dataset Dp_obs.Name.Sp_submit in
+      Fun.protect
+        ~finally:(fun () ->
+          Dp_obs.Span.end_ t.trace h;
+          Dp_obs.Metrics.observe sv.scope latency (Dp_obs.Clock.elapsed_ns t0))
+        (fun () ->
+          let result = serve sv in
+          Result.iter (tag h) result;
+          result)
+
+let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
+  let ds = sv.dataset in
+  let eps =
+    match epsilon with Some e -> e | None -> ds.policy.default_epsilon
+  in
+  let norm = Query.normalize query in
+  (* Cache before planning: a hit replays the stored release without
+     touching the raw data (planning is an O(n) scan), and without
+     consulting the ledger — post-processing is free even after the
+     budget is exhausted, and still served in degraded mode. *)
+  let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
+  let cached =
+    if ds.policy.cache then begin
+      let c0 = Dp_obs.Clock.now_ns () in
+      let hit = Cache.lookup sv.cache key in
+      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Cache_lookup_ns
+        (Dp_obs.Clock.elapsed_ns c0);
+      hit
+    end
+    else None
+  in
+  match cached with
+  | Some entry ->
+      let seq =
+        log_decision t ?analyst
+          ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
+          ~dataset ~query:norm ~requested:entry.Cache.requested ~charged:zero
+          ~cache_hit:true ~verdict:Audit_log.Cached ()
+      in
+      Ok
+        {
+          answer = entry.Cache.answer;
+          mechanism = entry.Cache.mechanism;
+          requested = entry.Cache.requested;
+          charged = zero;
+          cache_hit = true;
+          seq;
+        }
+  | None -> (
+      match refuse_fresh t sv ~analyst ~dataset ~query:norm with
+      | Some e -> Error e
       | None -> (
           let p0 = Dp_obs.Clock.now_ns () in
           let planned =
@@ -380,164 +520,77 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
               Error (Bad_query msg)
           | Ok plan -> (
               let sp = plan.Planner.spec in
-              match lease_check t ~dataset sp.Planner.charge.Ledger.budget with
-              | Error e ->
-                  sv.rejected <- sv.rejected + 1;
-                  ignore
-                    (log_decision t ?analyst
-                       ~mechanism:(Planner.mechanism_name sp.Planner.mechanism)
-                       ~dataset ~query:norm
-                       ~requested:sp.Planner.charge.Ledger.budget ~charged:zero
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Rejected (lease_reject_reason e)) ());
-                  Error e
-              | Ok () -> (
-              let before = Ledger.spent sv.ledger in
-              let c0 = Dp_obs.Clock.now_ns () in
-              let charge_result =
-                Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                  (fun () -> Ledger.spend sv.ledger ?analyst sp.Planner.charge)
+              let f =
+                {
+                  analyst;
+                  name = dataset;
+                  query = norm;
+                  mech = Planner.mechanism_name sp.Planner.mechanism;
+                  charge = sp.Planner.charge;
+                }
               in
-              Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-                (Dp_obs.Clock.elapsed_ns c0);
-              match charge_result with
-              | Error rejection ->
-                  sv.rejected <- sv.rejected + 1;
-                  ignore
-                    (log_decision t ?analyst
-                       ~mechanism:(Planner.mechanism_name sp.Planner.mechanism)
-                       ~dataset ~query:norm
-                       ~requested:sp.Planner.charge.Ledger.budget ~charged:zero
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                  Error (Budget_exceeded rejection)
-              | Ok () -> (
-                  let after = Ledger.spent sv.ledger in
+              match charge_fresh t sv f with
+              | Error e -> Error e
+              | Ok charged -> (
                   let face = sp.Planner.charge.Ledger.budget in
-                  let mech_name = Planner.mechanism_name sp.Planner.mechanism in
-                  let charged =
-                    {
-                      Privacy.epsilon =
-                        Float.max 0.
-                          (after.Privacy.epsilon -. before.Privacy.epsilon);
-                      delta =
-                        Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
-                    }
+                  let n0 = Dp_obs.Clock.now_ns () in
+                  let drawn =
+                    Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_noise
+                      (fun () ->
+                        Faults.with_retries ~jitter:t.retry_rng
+                          (fun ~attempt ->
+                            Faults.check t.faults ~attempt Faults.Rng;
+                            plan.Planner.run t.rng))
                   in
-                  let withhold reason err =
-                    (* the ledger is already charged; the journal (when
-                       durable) and the audit log both record the spend
-                       so nothing can under-count, but no answer leaves
-                       the engine *)
-                    sv.rejected <- sv.rejected + 1;
-                    sv.withheld <- sv.withheld + 1;
-                    ignore
-                      (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                         ~query:norm ~requested:face ~charged ~cache_hit:false
-                         ~verdict:(Audit_log.Charged_unreleased reason) ());
-                    (* best-effort outcome marker: losing it only makes
-                       recovery over-count [answered], never the budget *)
-                    ignore
-                      (journal_append t (Journal.Withheld { dataset; reason }));
-                    Error err
-                  in
-                  (* charge-before-answer: the charge must be durable
-                     before any noise is drawn, so a crash from here on
-                     can only over-count spent epsilon *)
-                  match
-                    journal_append t
-                      (Journal.Charge
-                         {
-                           Journal.dataset;
-                           analyst;
-                           query = norm;
-                           mechanism = mech_name;
-                           face;
-                           marginal = charged;
-                           rho = Ledger.rho_of_charge sp.Planner.charge;
-                         })
-                  with
-                  | Error e -> withhold "journal" e
-                  | Ok () -> (
-                      Faults.check t.faults Faults.Crash_after_charge;
-                      let n0 = Dp_obs.Clock.now_ns () in
-                      let drawn =
-                        Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_noise
-                          (fun () ->
-                            Faults.with_retries ~jitter:t.retry_rng
-                              (fun ~attempt ->
-                                Faults.check t.faults ~attempt Faults.Rng;
-                                plan.Planner.run t.rng))
-                      in
-                      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Noise_ns
-                        (Dp_obs.Clock.elapsed_ns n0);
-                      match drawn with
-                      | Error msg ->
-                          withhold "rng" (Transient ("rng exhausted: " ^ msg))
-                      | Ok answer ->
-                          if ds.policy.cache then begin
-                            Cache.store sv.cache key
-                              {
-                                Cache.answer;
-                                mechanism = sp.Planner.mechanism;
-                                requested = face;
-                              };
-                            (* a lost cache record is safe (a future miss
-                               re-charges: over-counting), so a failure
-                               here does not withhold the answer *)
-                            ignore
-                              (journal_append t
-                                 (Journal.Cache_insert
-                                    {
-                                      Journal.dataset;
-                                      key;
-                                      answer;
-                                      mechanism = sp.Planner.mechanism;
-                                      requested = face;
-                                    }))
-                          end;
-                          sv.answered <- sv.answered + 1;
-                          let seq =
-                            log_decision t ?analyst ~mechanism:mech_name
-                              ~dataset ~query:norm ~requested:face ~charged
-                              ~cache_hit:false ~verdict:Audit_log.Answered ()
-                          in
-                          Ok
-                            {
-                              answer;
-                              mechanism = sp.Planner.mechanism;
-                              requested = face;
-                              charged;
-                              cache_hit = false;
-                              seq;
-                            }))))))
+                  Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Noise_ns
+                    (Dp_obs.Clock.elapsed_ns n0);
+                  match drawn with
+                  | Error msg ->
+                      withhold t sv f ~charged "rng"
+                        (Transient ("rng exhausted: " ^ msg))
+                  | Ok answer ->
+                      if ds.policy.cache then begin
+                        Cache.store sv.cache key
+                          {
+                            Cache.answer;
+                            mechanism = sp.Planner.mechanism;
+                            requested = face;
+                          };
+                        (* a lost cache record is safe (a future miss
+                           re-charges: over-counting), so a failure here
+                           does not withhold the answer *)
+                        ignore
+                          (journal_append t
+                             (Journal.Cache_insert
+                                {
+                                  Journal.dataset;
+                                  key;
+                                  answer;
+                                  mechanism = sp.Planner.mechanism;
+                                  requested = face;
+                                }))
+                      end;
+                      let seq = answered t sv f ~charged in
+                      Ok
+                        {
+                          answer;
+                          mechanism = sp.Planner.mechanism;
+                          requested = face;
+                          charged;
+                          cache_hit = false;
+                          seq;
+                        }))))
 
-(* The span/latency wrapper lives outside [submit_serving] so that every
-   exit path — cache hit, rejection, withheld answer, even an injected
-   crash — ends the submit span and records end-to-end latency. *)
 let submit t ?analyst ?epsilon ~dataset query =
-  match Hashtbl.find_opt t.servings dataset with
-  | None -> Error (Unknown_dataset dataset)
-  | Some sv ->
-      let t0 = Dp_obs.Clock.now_ns () in
-      let h = Dp_obs.Span.begin_ t.trace ~dataset Dp_obs.Name.Sp_submit in
-      Fun.protect
-        ~finally:(fun () ->
-          Dp_obs.Span.end_ t.trace h;
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Submit_ns
-            (Dp_obs.Clock.elapsed_ns t0))
-        (fun () ->
-          let result = submit_serving t sv ?analyst ?epsilon ~dataset query in
-          (match result with
-           | Ok r ->
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
-                 r.requested.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
-                 r.charged.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_cache_hit
-                 (if r.cache_hit then 1. else 0.)
-           | Error _ -> ());
-          result)
+  traced t ~dataset `Submit
+    (fun sv -> submit_serving t sv ?analyst ?epsilon ~dataset query)
+    (fun h (r : response) ->
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
+        r.requested.Privacy.epsilon;
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
+        r.charged.Privacy.epsilon;
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_cache_hit
+        (if r.cache_hit then 1. else 0.))
 
 let submit_text t ?analyst ?epsilon ~dataset text =
   match Query.parse text with
@@ -649,223 +702,127 @@ let train_journal_record (m : Model_store.model) =
 let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
   let ds = sv.dataset in
   let norm = Train.normalize params in
-  let reject verdict err =
-    sv.rejected <- sv.rejected + 1;
-    ignore
-      (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-         ~charged:zero ~cache_hit:false ~verdict ());
-    Error err
-  in
-  if t.journal_failed then
-    Error
-      (Fatal
-         "journal unavailable: refusing fresh releases, serving cache hits \
-          only")
-  else if degraded_for t sv then
-    reject (Audit_log.Rejected "degraded")
-      (Degraded
-         {
-           dataset;
-           remaining = Ledger.remaining sv.ledger;
-           low_water = ds.Registry.policy.low_water;
-         })
-  else
-    let cols =
-      Array.to_list
-        (Array.map (fun (c : Registry.column) -> c.Registry.name) ds.columns)
-    in
-    match Train.spec ~rows:ds.Registry.rows ~cols params with
-    | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-    | Ok spec -> (
-        let columns =
-          Array.map
-            (fun (c : Registry.column) ->
-              (c.Registry.name, c.Registry.lo, c.Registry.hi, c.Registry.values))
-            ds.columns
-        in
-        match Train.design ~columns ~target:params.Train.target with
-        | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-        | Ok design -> (
-            let mech_name = Train.backend_name params.Train.backend in
-            let face = spec.Train.face in
-            let charge = { Ledger.budget = face; rdp = None } in
-            match lease_check t ~dataset face with
-            | Error e ->
-                reject (Audit_log.Rejected (lease_reject_reason e)) e
-            | Ok () -> (
-            let before = Ledger.spent sv.ledger in
-            let c0 = Dp_obs.Clock.now_ns () in
-            let charge_result =
-              Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                (fun () -> Ledger.spend sv.ledger ?analyst charge)
-            in
-            Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-              (Dp_obs.Clock.elapsed_ns c0);
-            match charge_result with
-            | Error rejection ->
-                sv.rejected <- sv.rejected + 1;
-                ignore
-                  (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                     ~query:norm ~requested:face ~charged:zero ~cache_hit:false
-                     ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                Error (Budget_exceeded rejection)
-            | Ok () -> (
-                let after = Ledger.spent sv.ledger in
-                let charged =
-                  {
-                    Privacy.epsilon =
-                      Float.max 0.
-                        (after.Privacy.epsilon -. before.Privacy.epsilon);
-                    delta =
-                      Float.max 0.
-                        (after.Privacy.delta -. before.Privacy.delta);
-                  }
-                in
-                let withhold reason err =
-                  sv.rejected <- sv.rejected + 1;
-                  sv.withheld <- sv.withheld + 1;
-                  ignore
-                    (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                       ~query:norm ~requested:face ~charged ~cache_hit:false
-                       ~verdict:(Audit_log.Charged_unreleased reason) ());
-                  ignore
-                    (journal_append t (Journal.Withheld { dataset; reason }));
-                  Error err
-                in
-                (* charge-before-train: the ledger spend must be durable
-                   before any chain touches the data, so a crash mid-chain
-                   can only over-count spent epsilon *)
-                match
-                  journal_append t
-                    (Journal.Charge
-                       {
-                         Journal.dataset;
-                         analyst;
-                         query = norm;
-                         mechanism = mech_name;
-                         face;
-                         marginal = charged;
-                         rho = Ledger.rho_of_charge charge;
-                       })
-                with
-                | Error e -> withhold "journal" e
-                | Ok () -> (
-                    Faults.check t.faults Faults.Crash_after_charge;
-                    let gate_hook check =
-                      let g0 = Dp_obs.Clock.now_ns () in
-                      let report =
-                        Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_gate
-                          check
+  match refuse_fresh t sv ~analyst ~dataset ~query:norm with
+  | Some e -> Error e
+  | None -> (
+      let cols =
+        Array.to_list
+          (Array.map (fun (c : Registry.column) -> c.Registry.name) ds.columns)
+      in
+      match Train.spec ~rows:ds.Registry.rows ~cols params with
+      | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
+      | Ok spec -> (
+          let columns =
+            Array.map
+              (fun (c : Registry.column) ->
+                (c.Registry.name, c.Registry.lo, c.Registry.hi, c.Registry.values))
+              ds.columns
+          in
+          match Train.design ~columns ~target:params.Train.target with
+          | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
+          | Ok design -> (
+              let mech_name = Train.backend_name params.Train.backend in
+              let face = spec.Train.face in
+              let f =
+                {
+                  analyst;
+                  name = dataset;
+                  query = norm;
+                  mech = mech_name;
+                  charge = { Ledger.budget = face; rdp = None };
+                }
+              in
+              (* the spend is durable before any chain touches the data *)
+              match charge_fresh t sv f with
+              | Error e -> Error e
+              | Ok charged -> (
+                  let gate_hook check =
+                    let g0 = Dp_obs.Clock.now_ns () in
+                    let report =
+                      Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_gate
+                        check
+                    in
+                    Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Gate_ns
+                      (Dp_obs.Clock.elapsed_ns g0);
+                    report
+                  in
+                  let outcome =
+                    Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_train
+                      (fun () -> Train.run ~gate_hook spec design t.rng)
+                  in
+                  let handle =
+                    Printf.sprintf "%s/m%d" dataset
+                      (Model_store.size sv.models + 1)
+                  in
+                  let model_of ~theta ~acceptance (report : Gates.report) =
+                    {
+                      Model_store.handle;
+                      dataset;
+                      backend = mech_name;
+                      epsilon = params.Train.epsilon;
+                      chains = params.Train.chains;
+                      steps = params.Train.steps;
+                      beta = spec.Train.beta;
+                      face;
+                      target = params.Train.target;
+                      features = Train.public_facts design;
+                      theta;
+                      rhat =
+                        Array.map
+                          (fun (c : Gates.coord) -> c.Gates.rhat)
+                          report.Gates.coords;
+                      ess =
+                        Array.map
+                          (fun (c : Gates.coord) -> c.Gates.ess)
+                          report.Gates.coords;
+                      acceptance;
+                    }
+                  in
+                  match outcome with
+                  | Train.Released { theta; report; acceptance } -> (
+                      let m = model_of ~theta:(Some theta) ~acceptance report in
+                      (* the handle exists iff its frame is durable: a
+                         model that cannot be journaled is withheld,
+                         never released from memory alone *)
+                      match journal_append t (train_journal_record m) with
+                      | Error e -> withhold t sv f ~charged "journal" e
+                      | Ok () ->
+                          Model_store.add sv.models m;
+                          let seq = answered t sv f ~charged in
+                          Ok { model = m; charged; seq })
+                  | Train.Withheld { report; acceptance } -> (
+                      let m = model_of ~theta:None ~acceptance report in
+                      let unconverged =
+                        Unconverged
+                          {
+                            dataset;
+                            handle;
+                            worst_rhat = Gates.worst_rhat report;
+                            min_ess = Gates.min_ess report;
+                            charged;
+                          }
                       in
-                      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Gate_ns
-                        (Dp_obs.Clock.elapsed_ns g0);
-                      report
-                    in
-                    let outcome =
-                      Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_train
-                        (fun () -> Train.run ~gate_hook spec design t.rng)
-                    in
-                    let handle =
-                      Printf.sprintf "%s/m%d" dataset
-                        (Model_store.size sv.models + 1)
-                    in
-                    let model_of ~theta ~acceptance (report : Gates.report) =
-                      {
-                        Model_store.handle;
-                        dataset;
-                        backend = mech_name;
-                        epsilon = params.Train.epsilon;
-                        chains = params.Train.chains;
-                        steps = params.Train.steps;
-                        beta = spec.Train.beta;
-                        face;
-                        target = params.Train.target;
-                        features = Train.public_facts design;
-                        theta;
-                        rhat =
-                          Array.map
-                            (fun (c : Gates.coord) -> c.Gates.rhat)
-                            report.Gates.coords;
-                        ess =
-                          Array.map
-                            (fun (c : Gates.coord) -> c.Gates.ess)
-                            report.Gates.coords;
-                        acceptance;
-                      }
-                    in
-                    match outcome with
-                    | Train.Released { theta; report; acceptance } -> (
-                        let m = model_of ~theta:(Some theta) ~acceptance report in
-                        (* the handle exists iff its frame is durable: a
-                           model that cannot be journaled is withheld,
-                           never released from memory alone *)
-                        match journal_append t (train_journal_record m) with
-                        | Error e -> withhold "journal" e
-                        | Ok () ->
-                            Model_store.add sv.models m;
-                            sv.answered <- sv.answered + 1;
-                            let seq =
-                              log_decision t ?analyst ~mechanism:mech_name
-                                ~dataset ~query:norm ~requested:face ~charged
-                                ~cache_hit:false ~verdict:Audit_log.Answered ()
-                            in
-                            Ok { model = m; charged; seq })
-                    | Train.Withheld { report; acceptance } -> (
-                        let m = model_of ~theta:None ~acceptance report in
-                        let unconverged =
-                          Unconverged
-                            {
-                              dataset;
-                              handle;
-                              worst_rhat = Gates.worst_rhat report;
-                              min_ess = Gates.min_ess report;
-                              charged;
-                            }
-                        in
-                        (* outcome marker first (pairs with the charge),
-                           then the durable withheld handle; the charge
-                           stands either way — never a refund, never a
-                           biased sample *)
-                        ignore
-                          (journal_append t
-                             (Journal.Withheld { dataset; reason = "unconverged" }));
-                        sv.rejected <- sv.rejected + 1;
-                        sv.withheld <- sv.withheld + 1;
-                        ignore
-                          (log_decision t ?analyst ~mechanism:mech_name
-                             ~dataset ~query:norm ~requested:face ~charged
-                             ~cache_hit:false
-                             ~verdict:(Audit_log.Charged_unreleased "unconverged")
-                             ());
-                        match journal_append t (train_journal_record m) with
-                        | Error e -> Error e
-                        | Ok () ->
-                            Model_store.add sv.models m;
-                            Error unconverged))))))
+                      (* outcome marker first (pairs with the charge),
+                         then the durable withheld handle; the charge
+                         stands either way — never a refund, never a
+                         biased sample *)
+                      ignore (withhold t sv f ~charged "unconverged" unconverged);
+                      match journal_append t (train_journal_record m) with
+                      | Error e -> Error e
+                      | Ok () ->
+                          Model_store.add sv.models m;
+                          Error unconverged)))))
 
 let train t ?analyst ~dataset params =
-  match Hashtbl.find_opt t.servings dataset with
-  | None -> Error (Unknown_dataset dataset)
-  | Some sv ->
-      let t0 = Dp_obs.Clock.now_ns () in
-      let h = Dp_obs.Span.begin_ t.trace ~dataset Dp_obs.Name.Sp_submit in
-      Fun.protect
-        ~finally:(fun () ->
-          Dp_obs.Span.end_ t.trace h;
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Train_ns
-            (Dp_obs.Clock.elapsed_ns t0))
-        (fun () ->
-          let result = train_serving t sv ?analyst ~dataset params in
-          (match result with
-           | Ok r ->
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
-                 r.model.Model_store.face.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
-                 r.charged.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_chains
-                 (float_of_int r.model.Model_store.chains)
-           | Error _ -> ());
-          result)
+  traced t ~dataset `Train
+    (fun sv -> train_serving t sv ?analyst ~dataset params)
+    (fun h (r : trained) ->
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
+        r.model.Model_store.face.Privacy.epsilon;
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
+        r.charged.Privacy.epsilon;
+      Dp_obs.Span.tag t.trace h Dp_obs.Name.T_chains
+        (float_of_int r.model.Model_store.chains))
 
 let serving_of_handle t handle =
   match String.index_opt handle '/' with
@@ -931,142 +888,69 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
   match Hashtbl.find_opt t.servings dataset with
   | None -> Error (Unknown_dataset dataset)
   | Some sv -> (
-      let ds = sv.dataset in
       let norm = Stream.normalize params in
-      let reject verdict err =
-        sv.rejected <- sv.rejected + 1;
-        ignore
-          (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-             ~charged:zero ~cache_hit:false ~verdict ());
-        Error err
-      in
-      if t.journal_failed then
-        Error
-          (Fatal
-             "journal unavailable: refusing fresh releases, serving cache \
-              hits only")
-      else if degraded_for t sv then
-        reject (Audit_log.Rejected "degraded")
-          (Degraded
-             {
-               dataset;
-               remaining = Ledger.remaining sv.ledger;
-               low_water = ds.Registry.policy.low_water;
-             })
-      else
-        match Stream.spec params with
-        | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-        | Ok spec -> (
-            let face = spec.Stream.face in
-            let charge = { Ledger.budget = face; rdp = None } in
-            match lease_check t ~dataset face with
-            | Error e ->
-                reject (Audit_log.Rejected (lease_reject_reason e)) e
-            | Ok () -> (
-            let before = Ledger.spent sv.ledger in
-            let c0 = Dp_obs.Clock.now_ns () in
-            let charge_result =
-              Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                (fun () -> Ledger.spend sv.ledger ?analyst charge)
-            in
-            Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-              (Dp_obs.Clock.elapsed_ns c0);
-            match charge_result with
-            | Error rejection ->
-                sv.rejected <- sv.rejected + 1;
-                ignore
-                  (log_decision t ?analyst ~mechanism:Stream.mechanism_name
-                     ~dataset ~query:norm ~requested:face ~charged:zero
-                     ~cache_hit:false
-                     ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                Error (Budget_exceeded rejection)
-            | Ok () -> (
-                let after = Ledger.spent sv.ledger in
-                let charged =
-                  {
-                    Privacy.epsilon =
-                      Float.max 0.
-                        (after.Privacy.epsilon -. before.Privacy.epsilon);
-                    delta =
-                      Float.max 0.
-                        (after.Privacy.delta -. before.Privacy.delta);
-                  }
-                in
-                let withhold reason err =
-                  sv.rejected <- sv.rejected + 1;
-                  sv.withheld <- sv.withheld + 1;
-                  ignore
-                    (log_decision t ?analyst ~mechanism:Stream.mechanism_name
-                       ~dataset ~query:norm ~requested:face ~charged
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Charged_unreleased reason) ());
-                  ignore
-                    (journal_append t (Journal.Withheld { dataset; reason }));
-                  Error err
-                in
-                (* charge-before-open: the whole-lifetime face must be
-                   durable before the handle exists, so a crash here can
-                   only over-count spent epsilon *)
-                match
-                  journal_append t
-                    (Journal.Charge
-                       {
-                         Journal.dataset;
-                         analyst;
-                         query = norm;
-                         mechanism = Stream.mechanism_name;
-                         face;
-                         marginal = charged;
-                         rho = Ledger.rho_of_charge charge;
-                       })
-                with
-                | Error e -> withhold "journal" e
-                | Ok () -> (
-                    Faults.check t.faults Faults.Crash_after_charge;
-                    let handle =
-                      Printf.sprintf "%s/s%d" dataset
-                        (Stream_store.size sv.streams + 1)
-                    in
-                    (* the handle exists iff its frame is durable, like
-                       model handles *)
-                    match
-                      journal_append t
-                        (Journal.Stream_open
-                           {
-                             Journal.dataset;
-                             handle;
-                             epsilon = params.Stream.epsilon;
-                             horizon = params.Stream.horizon;
-                             window = params.Stream.window;
-                           })
-                    with
-                    | Error e -> withhold "journal" e
-                    | Ok () ->
-                        let stream =
-                          {
-                            Stream_store.handle;
-                            dataset;
-                            spec;
-                            counter =
-                              Counter.create ~epsilon:params.Stream.epsilon
-                                ~horizon:params.Stream.horizon;
-                            reads = 0;
-                          }
-                        in
-                        Stream_store.add sv.streams stream;
-                        sv.answered <- sv.answered + 1;
-                        let seq =
-                          log_decision t ?analyst
-                            ~mechanism:Stream.mechanism_name ~dataset
-                            ~query:norm ~requested:face ~charged
-                            ~cache_hit:false ~verdict:Audit_log.Answered ()
-                        in
-                        Ok { stream; charged; seq })))))
+      match refuse_fresh t sv ~analyst ~dataset ~query:norm with
+      | Some e -> Error e
+      | None -> (
+          match Stream.spec params with
+          | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
+          | Ok spec -> (
+              let f =
+                {
+                  analyst;
+                  name = dataset;
+                  query = norm;
+                  mech = Stream.mechanism_name;
+                  charge = { Ledger.budget = spec.Stream.face; rdp = None };
+                }
+              in
+              (* the whole-lifetime face is durable before the handle
+                 exists *)
+              match charge_fresh t sv f with
+              | Error e -> Error e
+              | Ok charged -> (
+                  let handle =
+                    Printf.sprintf "%s/s%d" dataset
+                      (Stream_store.size sv.streams + 1)
+                  in
+                  (* the handle exists iff its frame is durable, like
+                     model handles *)
+                  match
+                    journal_append t
+                      (Journal.Stream_open
+                         {
+                           Journal.dataset;
+                           handle;
+                           epsilon = params.Stream.epsilon;
+                           horizon = params.Stream.horizon;
+                           window = params.Stream.window;
+                         })
+                  with
+                  | Error e -> withhold t sv f ~charged "journal" e
+                  | Ok () ->
+                      let stream =
+                        {
+                          Stream_store.handle;
+                          dataset;
+                          spec;
+                          counter =
+                            Counter.create ~epsilon:params.Stream.epsilon
+                              ~horizon:params.Stream.horizon;
+                          reads = 0;
+                        }
+                      in
+                      Stream_store.add sv.streams stream;
+                      let seq = answered t sv f ~charged in
+                      Ok { stream; charged; seq }))))
 
-let find_stream t handle =
+(* The one stream-handle lookup: the handle's serving and stream. *)
+let stream_lookup t handle =
   match serving_of_handle t handle with
   | None -> None
-  | Some sv -> Stream_store.find sv.streams handle
+  | Some sv ->
+      Option.map (fun s -> (sv, s)) (Stream_store.find sv.streams handle)
+
+let find_stream t handle = Option.map snd (stream_lookup t handle)
 
 let streams t ~dataset =
   match Hashtbl.find_opt t.servings dataset with
@@ -1079,56 +963,43 @@ let streams t ~dataset =
    journal the closing nodes' noise could be lost after a later read
    released it, so a failed journal refuses appends outright. *)
 let append t handle bit =
-  match serving_of_handle t handle with
+  match stream_lookup t handle with
   | None -> Error (Unknown_stream handle)
-  | Some sv -> (
-      match Stream_store.find sv.streams handle with
-      | None -> Error (Unknown_stream handle)
-      | Some s ->
-          let a0 = Dp_obs.Clock.now_ns () in
-          if t.journal_failed then
-            Error
-              (Fatal
-                 "journal unavailable: refusing fresh releases, serving \
-                  cache hits only")
-          else if bit <> 0 && bit <> 1 then
-            Error (Bad_query "append expects 0 or 1")
-          else if Counter.t_now s.Stream_store.counter
-                  >= s.Stream_store.spec.Stream.params.Stream.horizon
-          then
-            Error
-              (Bad_query
-                 (Printf.sprintf "stream %s is past its horizon N=%d" handle
-                    s.Stream_store.spec.Stream.params.Stream.horizon))
-          else
-            let c = s.Stream_store.counter in
-            let scale = Counter.noise_scale c in
-            let nodes =
-              Dp_obs.Span.with_ t.trace ~dataset:s.Stream_store.dataset
-                Dp_obs.Name.Sp_noise (fun () ->
-                  Counter.prepare c ~bit ~noise:(fun () ->
-                      Dp_rng.Sampler.laplace ~mean:0. ~scale t.stream_rng))
-            in
-            (* noise-before-release, durably: the frame carrying the
-               noisy node values is fsynced before the tree mutates *)
-            match
-              journal_append t
-                (Journal.Stream_append
-                   { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes })
-            with
-            | Error e -> Error e
-            | Ok () ->
-                Faults.check t.faults Faults.Crash_after_charge;
-                Counter.commit c ~bit nodes;
-                Stream_store.record_append sv.streams;
-                Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Append_ns
-                  (Dp_obs.Clock.elapsed_ns a0);
-                Ok
-                  {
-                    handle;
-                    t_now = Counter.t_now c;
-                    nodes_closed = Array.length nodes;
-                  })
+  | Some (sv, s) ->
+      let a0 = Dp_obs.Clock.now_ns () in
+      if t.journal_failed then Error journal_down
+      else if bit <> 0 && bit <> 1 then Error (Bad_query "append expects 0 or 1")
+      else if Counter.t_now s.Stream_store.counter
+              >= s.Stream_store.spec.Stream.params.Stream.horizon
+      then
+        Error
+          (Bad_query
+             (Printf.sprintf "stream %s is past its horizon N=%d" handle
+                s.Stream_store.spec.Stream.params.Stream.horizon))
+      else
+        let c = s.Stream_store.counter in
+        let scale = Counter.noise_scale c in
+        let nodes =
+          Dp_obs.Span.with_ t.trace ~dataset:s.Stream_store.dataset
+            Dp_obs.Name.Sp_noise (fun () ->
+              Counter.prepare c ~bit ~noise:(fun () ->
+                  Dp_rng.Sampler.laplace ~mean:0. ~scale t.stream_rng))
+        in
+        (* noise-before-release, durably: the frame carrying the noisy
+           node values is fsynced before the tree mutates *)
+        match
+          journal_append t
+            (Journal.Stream_append
+               { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes })
+        with
+        | Error e -> Error e
+        | Ok () ->
+            Faults.check t.faults Faults.Crash_after_charge;
+            Counter.commit c ~bit nodes;
+            Stream_store.record_append sv.streams;
+            Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Append_ns
+              (Dp_obs.Clock.elapsed_ns a0);
+            Ok { handle; t_now = Counter.t_now c; nodes_closed = Array.length nodes }
 
 (* Reads are deterministic post-processing of durable node values: no
    data access, no ledger charge, no fresh noise — served even in
@@ -1149,42 +1020,35 @@ let stream_count_of (sv : serving) (s : Stream_store.stream) ~window count =
   }
 
 let stream_read t handle =
-  match serving_of_handle t handle with
+  match stream_lookup t handle with
   | None -> Error (Unknown_stream handle)
-  | Some sv -> (
-      match Stream_store.find sv.streams handle with
-      | None -> Error (Unknown_stream handle)
-      | Some s ->
-          let r0 = Dp_obs.Clock.now_ns () in
-          let count = Counter.read s.Stream_store.counter in
-          let r = stream_count_of sv s ~window:None count in
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Stream_read_ns
-            (Dp_obs.Clock.elapsed_ns r0);
-          Ok r)
+  | Some (sv, s) ->
+      let r0 = Dp_obs.Clock.now_ns () in
+      let count = Counter.read s.Stream_store.counter in
+      let r = stream_count_of sv s ~window:None count in
+      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Stream_read_ns
+        (Dp_obs.Clock.elapsed_ns r0);
+      Ok r
 
 let stream_window t handle ?w () =
-  match serving_of_handle t handle with
+  match stream_lookup t handle with
   | None -> Error (Unknown_stream handle)
-  | Some sv -> (
-      match Stream_store.find sv.streams handle with
-      | None -> Error (Unknown_stream handle)
-      | Some s -> (
-          let declared = s.Stream_store.spec.Stream.params.Stream.window in
-          match (w, declared) with
-          | None, 0 ->
-              Error
-                (Bad_query
-                   "stream declared no default window; pass an explicit one")
-          | _ -> (
-              let w = match w with Some w -> w | None -> declared in
-              let r0 = Dp_obs.Clock.now_ns () in
-              match Counter.window s.Stream_store.counter ~w with
-              | Error msg -> Error (Bad_query msg)
-              | Ok count ->
-                  let r = stream_count_of sv s ~window:(Some w) count in
-                  Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Stream_read_ns
-                    (Dp_obs.Clock.elapsed_ns r0);
-                  Ok r)))
+  | Some (sv, s) -> (
+      let declared = s.Stream_store.spec.Stream.params.Stream.window in
+      match (w, declared) with
+      | None, 0 ->
+          Error
+            (Bad_query "stream declared no default window; pass an explicit one")
+      | _ -> (
+          let w = match w with Some w -> w | None -> declared in
+          let r0 = Dp_obs.Clock.now_ns () in
+          match Counter.window s.Stream_store.counter ~w with
+          | Error msg -> Error (Bad_query msg)
+          | Ok count ->
+              let r = stream_count_of sv s ~window:(Some w) count in
+              Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Stream_read_ns
+                (Dp_obs.Clock.elapsed_ns r0);
+              Ok r))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
@@ -1225,6 +1089,16 @@ let rec pair_outcomes = function
   | r :: rest -> (r, None) :: pair_outcomes rest
   | [] -> []
 
+(* The serving a journal record names; recovery fails on an unknown
+   dataset. *)
+let recovered_serving t ~what dataset =
+  match Hashtbl.find_opt t.servings dataset with
+  | Some sv -> sv
+  | None ->
+      raise
+        (Recovery_failed
+           (Printf.sprintf "journal %s unknown dataset %S" what dataset))
+
 let apply_record t counts (record, withheld) =
   match record with
   | Journal.Register { name; rows; seed; policy } -> (
@@ -1239,145 +1113,112 @@ let apply_record t counts (record, withheld) =
       match register_serving t ds with
       | Ok () -> ()
       | Error msg -> raise (Recovery_failed msg))
-  | Journal.Charge c -> (
-      match Hashtbl.find_opt t.servings c.Journal.dataset with
-      | None ->
+  | Journal.Charge c ->
+      let sv = recovered_serving t ~what:"charges" c.Journal.dataset in
+      (try
+         Ledger.replay_charge sv.ledger ?analyst:c.Journal.analyst
+           ~face:c.Journal.face ~rho:c.Journal.rho ()
+       with
+      | Invalid_argument msg -> raise (Recovery_failed msg)
+      | Privacy.Budget_exceeded _ ->
           raise
             (Recovery_failed
-               (Printf.sprintf "journal charges unknown dataset %S"
-                  c.Journal.dataset))
-      | Some sv ->
-          (try
-             Ledger.replay_charge sv.ledger ?analyst:c.Journal.analyst
-               ~face:c.Journal.face ~rho:c.Journal.rho ()
-           with
-          | Invalid_argument msg -> raise (Recovery_failed msg)
-          | Privacy.Budget_exceeded _ ->
-              raise
-                (Recovery_failed
-                   (Printf.sprintf
-                      "journaled charge overdraws analyst budget on %S"
-                      c.Journal.dataset)));
-          let verdict =
-            match withheld with
-            | None ->
-                sv.answered <- sv.answered + 1;
-                Audit_log.Answered
-            | Some reason ->
-                sv.rejected <- sv.rejected + 1;
-                sv.withheld <- sv.withheld + 1;
-                Audit_log.Charged_unreleased reason
-          in
-          ignore
-            (log_decision t ?analyst:c.Journal.analyst
-               ~mechanism:c.Journal.mechanism ~dataset:c.Journal.dataset
-               ~query:c.Journal.query ~requested:c.Journal.face
-               ~charged:c.Journal.marginal ~cache_hit:false ~verdict ());
-          counts.rc_charges <- counts.rc_charges + 1)
-  | Journal.Cache_insert k -> (
-      match Hashtbl.find_opt t.servings k.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal caches unknown dataset %S"
-                  k.Journal.dataset))
-      | Some sv ->
-          Cache.store sv.cache k.Journal.key
-            {
-              Cache.answer = k.Journal.answer;
-              mechanism = k.Journal.mechanism;
-              requested = k.Journal.requested;
-            };
-          counts.rc_cache <- counts.rc_cache + 1)
+               (Printf.sprintf "journaled charge overdraws analyst budget on %S"
+                  c.Journal.dataset)));
+      let verdict =
+        match withheld with
+        | None ->
+            sv.answered <- sv.answered + 1;
+            Audit_log.Answered
+        | Some reason ->
+            sv.rejected <- sv.rejected + 1;
+            sv.withheld <- sv.withheld + 1;
+            Audit_log.Charged_unreleased reason
+      in
+      ignore
+        (log_decision t ?analyst:c.Journal.analyst
+           ~mechanism:c.Journal.mechanism ~dataset:c.Journal.dataset
+           ~query:c.Journal.query ~requested:c.Journal.face
+           ~charged:c.Journal.marginal ~cache_hit:false ~verdict ());
+      counts.rc_charges <- counts.rc_charges + 1
+  | Journal.Cache_insert k ->
+      let sv = recovered_serving t ~what:"caches" k.Journal.dataset in
+      Cache.store sv.cache k.Journal.key
+        {
+          Cache.answer = k.Journal.answer;
+          mechanism = k.Journal.mechanism;
+          requested = k.Journal.requested;
+        };
+      counts.rc_cache <- counts.rc_cache + 1
   | Journal.Withheld _ -> ()
   | Journal.Train m -> (
-      match Hashtbl.find_opt t.servings m.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal trains unknown dataset %S"
-                  m.Journal.dataset))
-      | Some sv -> (
+      let sv = recovered_serving t ~what:"trains" m.Journal.dataset in
+      match
+        Model_store.add sv.models
+          {
+            Model_store.handle = m.Journal.handle;
+            dataset = m.Journal.dataset;
+            backend = m.Journal.backend;
+            epsilon = m.Journal.epsilon;
+            chains = m.Journal.chains;
+            steps = m.Journal.steps;
+            beta = m.Journal.beta;
+            face = m.Journal.face;
+            target = m.Journal.target;
+            features = m.Journal.features;
+            theta = m.Journal.theta;
+            rhat = m.Journal.rhat;
+            ess = m.Journal.ess;
+            acceptance = m.Journal.acceptance;
+          }
+      with
+      | () -> counts.rc_models <- counts.rc_models + 1
+      | exception Invalid_argument msg -> raise (Recovery_failed msg))
+  | Journal.Stream_open o -> (
+      let sv = recovered_serving t ~what:"opens stream on" o.Journal.dataset in
+      let params =
+        {
+          Stream.epsilon = o.Journal.epsilon;
+          horizon = o.Journal.horizon;
+          window = o.Journal.window;
+        }
+      in
+      match Stream.spec params with
+      | exception Invalid_argument msg -> raise (Recovery_failed msg)
+      | Error msg -> raise (Recovery_failed msg)
+      | Ok spec -> (
           match
-            Model_store.add sv.models
+            Stream_store.add sv.streams
               {
-                Model_store.handle = m.Journal.handle;
-                dataset = m.Journal.dataset;
-                backend = m.Journal.backend;
-                epsilon = m.Journal.epsilon;
-                chains = m.Journal.chains;
-                steps = m.Journal.steps;
-                beta = m.Journal.beta;
-                face = m.Journal.face;
-                target = m.Journal.target;
-                features = m.Journal.features;
-                theta = m.Journal.theta;
-                rhat = m.Journal.rhat;
-                ess = m.Journal.ess;
-                acceptance = m.Journal.acceptance;
+                Stream_store.handle = o.Journal.handle;
+                dataset = o.Journal.dataset;
+                spec;
+                counter =
+                  Counter.create ~epsilon:o.Journal.epsilon
+                    ~horizon:o.Journal.horizon;
+                reads = 0;
               }
           with
-          | () -> counts.rc_models <- counts.rc_models + 1
+          | () -> counts.rc_streams <- counts.rc_streams + 1
           | exception Invalid_argument msg -> raise (Recovery_failed msg)))
-  | Journal.Stream_open o -> (
-      match Hashtbl.find_opt t.servings o.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal opens stream on unknown dataset %S"
-                  o.Journal.dataset))
-      | Some sv -> (
-          let params =
-            {
-              Stream.epsilon = o.Journal.epsilon;
-              horizon = o.Journal.horizon;
-              window = o.Journal.window;
-            }
-          in
-          match Stream.spec params with
-          | exception Invalid_argument msg -> raise (Recovery_failed msg)
-          | Error msg -> raise (Recovery_failed msg)
-          | Ok spec -> (
-              match
-                Stream_store.add sv.streams
-                  {
-                    Stream_store.handle = o.Journal.handle;
-                    dataset = o.Journal.dataset;
-                    spec;
-                    counter =
-                      Counter.create ~epsilon:o.Journal.epsilon
-                        ~horizon:o.Journal.horizon;
-                    reads = 0;
-                  }
-              with
-              | () -> counts.rc_streams <- counts.rc_streams + 1
-              | exception Invalid_argument msg ->
-                  raise (Recovery_failed msg))))
   | Journal.Stream_append a -> (
       (* replay goes through [commit] alone — the journaled noisy node
          values are applied verbatim, consuming zero PRNG draws, so the
          rebuilt tree releases bit-identical counts *)
-      match Hashtbl.find_opt t.servings a.Journal.dataset with
+      let sv = recovered_serving t ~what:"appends to" a.Journal.dataset in
+      match Stream_store.find sv.streams a.Journal.handle with
       | None ->
           raise
             (Recovery_failed
-               (Printf.sprintf "journal appends to unknown dataset %S"
-                  a.Journal.dataset))
-      | Some sv -> (
-          match Stream_store.find sv.streams a.Journal.handle with
-          | None ->
-              raise
-                (Recovery_failed
-                   (Printf.sprintf "journal appends to unknown stream %S"
-                      a.Journal.handle))
-          | Some s -> (
-              match
-                Counter.commit s.Stream_store.counter ~bit:a.Journal.bit
-                  a.Journal.nodes
-              with
-              | () -> Stream_store.record_append sv.streams
-              | exception Invalid_argument msg ->
-                  raise (Recovery_failed msg))))
+               (Printf.sprintf "journal appends to unknown stream %S"
+                  a.Journal.handle))
+      | Some s -> (
+          match
+            Counter.commit s.Stream_store.counter ~bit:a.Journal.bit
+              a.Journal.nodes
+          with
+          | () -> Stream_store.record_append sv.streams
+          | exception Invalid_argument msg -> raise (Recovery_failed msg)))
 
 (* The rebuilt audit trace must re-verify: replaying the journaled
    marginals through the plain basic accountant (Dp_audit.Replay) has

@@ -10,8 +10,9 @@ let checks =
        frames, logs, or metrics through a DP mechanism or a declared \
        [@dp.sanitizer]" );
     ( "F2",
-      "charge-before-release: on every path, a ledger charge (or \
-       deterministic-gate proof) dominates the release of an answer" );
+      "charge-before-release: on every path, a ledger charge dominates \
+       the release of an answer, and a convergence gate (Gates.check / \
+       Gates.deterministic) also dominates a Released model" );
     ( "F3",
       "RNG provenance: PRNG streams stay inside their owning \
        subsystem; no cross-subsystem stream reuse, raw copies, or \
@@ -140,9 +141,9 @@ let f1_scope_segs =
 
 (* ---------- F2: charge-before-release ---------- *)
 
-(* a call to any of these puts the current path in the Charged state:
-   budget actually spent, a replayed charge honored, or a
-   deterministic no-privacy-cost proof established *)
+(* a call to any of these makes the current path charged: budget
+   actually spent, a replayed charge honored, or a deterministic-gate
+   proof established *)
 let chargers =
   [
     ("Ledger", "spend");
@@ -155,6 +156,10 @@ let chargers =
        coordinator's grant WAL before any worker may answer under it *)
     ("Grant_wal", "append");
   ]
+
+(* a call to any of these makes the current path gated: the
+   convergence verdict a [Released] model needs on top of its charge *)
+let gates = [ ("Gates", "check"); ("Gates", "deterministic") ]
 
 (* release sites: applying a planner's [.run] closure, or
    constructing a [Released] outcome *)

@@ -53,7 +53,11 @@ val f1_scope_segs : string list
 (** {1 F2: charge-before-release} *)
 
 val chargers : (string * string) list
-(** Calls that put the current path in the Charged state. *)
+(** Calls that make the current path charged. *)
+
+val gates : (string * string) list
+(** Calls that make the current path gated: a [Released] model needs a
+    gate as well as a charge (a gate also counts as a charge). *)
 
 val release_field : string
 (** Applying a closure read from this field releases an answer. *)

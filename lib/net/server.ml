@@ -23,15 +23,23 @@ let default_config =
     retry_after_base_ms = 50;
   }
 
+(* A queued line: a request to execute, or the reply to a line shed at
+   admission. A shed reply waits its turn in the queue, so a pipelining
+   client gets its replies in request order. *)
+type item = Request of Linebuf.line | Shed of string
+
 (* One connection's whole state machine: bounded line reassembly in,
-   queued requests (each with its arrival time), one reply frame at a
+   queued lines (each with its arrival time), one reply frame at a
    time out. [out]/[out_pos] is the unflushed reply; a conn with a
    non-empty [out] counts toward the admission depth (its reply
-   occupies the pipeline until the client drains it). *)
+   occupies the pipeline until the client drains it), and so does each
+   queued [Request] ([admitted] of them) — a queued shed reply does
+   not. *)
 type conn = {
   fd : Unix.file_descr;
   lb : Linebuf.t;
-  requests : (Linebuf.line * float) Queue.t;
+  requests : (item * float) Queue.t;
+  mutable admitted : int;  (** the [Request] items in [requests] *)
   mutable out : Bytes.t;
   mutable out_pos : int;
   mutable out_deadline : float;  (** absolute, for the oldest frame in [out] *)
@@ -116,7 +124,7 @@ let depth t =
     (fun acc c ->
       if c.closed then acc
       else
-        acc + Queue.length c.requests
+        acc + c.admitted
         + (if has_output c || c.req_start_ns > 0 then 1 else 0))
     0 t.conns
 
@@ -126,14 +134,12 @@ let retry_after_ms t =
 let overloaded_line t =
   Printf.sprintf "err overloaded retry-after=%d" (retry_after_ms t)
 
-(* Append one reply frame: the reply lines, then the blank-line
-   terminator that lets the client know the frame is complete. A frame
-   queued behind unflushed output keeps the older frame's deadline. *)
+(* Write one reply frame into a flushed [out]: the reply lines, then the
+   blank-line terminator that lets the client know the frame is
+   complete. A frame only goes out once the previous one is flushed, so
+   unflushed output is never copied. *)
 let queue_frame ?(terminated = true) c ~deadline lines =
   let b = Buffer.create 256 in
-  if has_output c then
-    Buffer.add_subbytes b c.out c.out_pos (Bytes.length c.out - c.out_pos)
-  else c.out_deadline <- deadline;
   List.iter
     (fun l ->
       Buffer.add_string b l;
@@ -141,7 +147,8 @@ let queue_frame ?(terminated = true) c ~deadline lines =
     lines;
   if terminated then Buffer.add_char b '\n';
   c.out <- Buffer.to_bytes b;
-  c.out_pos <- 0
+  c.out_pos <- 0;
+  c.out_deadline <- deadline
 
 let close_conn t reason c =
   if not c.closed then begin
@@ -159,6 +166,7 @@ let mk_conn fd =
     fd;
     lb = Linebuf.create ();
     requests = Queue.create ();
+    admitted = 0;
     out = Bytes.empty;
     out_pos = 0;
     out_deadline = 0.;
@@ -223,11 +231,23 @@ let handle_line t c (l : Linebuf.line) =
   in
   if depth t >= bound then begin
     Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests_shed;
-    queue_frame c ~deadline:(now +. t.cfg.reply_deadline_s) [ overloaded_line t ]
+    Queue.push (Shed (overloaded_line t), now) c.requests
   end
-  else Queue.push (l, now) c.requests
+  else begin
+    c.admitted <- c.admitted + 1;
+    Queue.push (Request l, now) c.requests
+  end
 
 let read_buf = Bytes.create 4096
+
+(* Backpressure: a conn whose queued lines plus unflushed reply reach
+   [max_inflight] is not read until they drain, so a client that
+   pipelines without reading its replies holds a bounded amount of
+   server memory (one read's worth of lines past the bound). *)
+let reading t c =
+  (not (c.eof || t.stopping))
+  && Queue.length c.requests + (if has_output c then 1 else 0)
+     < t.cfg.max_inflight
 
 let read_phase t c =
   if c.closed || c.eof then ()
@@ -249,39 +269,43 @@ let read_phase t c =
 
 (* Execute at most one queued request per conn per loop turn (round-
    robin fairness), and only once the previous reply frame is fully
-   flushed — the reply order on a connection is the request order. *)
+   flushed — the reply order on a connection is the request order. A
+   shed reply is already formed and takes its turn like a request. *)
 let exec_phase t c =
-  if runnable c then begin
-    let l, arrived = Queue.pop c.requests in
-    let deadline = arrived +. t.cfg.reply_deadline_s in
-    c.req_start_ns <- Dp_obs.Clock.now_ns ();
-    Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
-    let text, bytes =
-      if Faults.fire t.faults Faults.Garbage_line then
-        let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
-        (g, String.length g)
-      else (l.Linebuf.text, l.Linebuf.bytes)
-    in
-    let reply =
-      if bytes > Protocol.max_line_bytes then
-        [ Protocol.oversized_reply bytes ]
-      else t.exec text
-    in
-    if Protocol.is_quit text then c.close_after_flush <- true;
-    if Faults.fire t.faults Faults.Write_drop then
-      (* reply computed (and any charge journaled), zero bytes written:
-         the client must retry through a torn connection *)
-      close_conn t `Normal c
-    else if Faults.fire t.faults Faults.Conn_reset then begin
-      (* first line only, no terminator: a torn frame mid-reply *)
-      match reply with
-      | first :: _ ->
-          queue_frame ~terminated:false c ~deadline [ first ];
-          c.close_after_flush <- true
-      | [] -> close_conn t `Normal c
-    end
-    else queue_frame c ~deadline reply
-  end
+  if runnable c then
+    match Queue.pop c.requests with
+    | Shed line, arrived ->
+        queue_frame c ~deadline:(arrived +. t.cfg.reply_deadline_s) [ line ]
+    | Request l, arrived ->
+        c.admitted <- c.admitted - 1;
+        let deadline = arrived +. t.cfg.reply_deadline_s in
+        c.req_start_ns <- Dp_obs.Clock.now_ns ();
+        Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
+        let text, bytes =
+          if Faults.fire t.faults Faults.Garbage_line then
+            let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
+            (g, String.length g)
+          else (l.Linebuf.text, l.Linebuf.bytes)
+        in
+        let reply =
+          if bytes > Protocol.max_line_bytes then
+            [ Protocol.oversized_reply bytes ]
+          else t.exec text
+        in
+        if Protocol.is_quit text then c.close_after_flush <- true;
+        if Faults.fire t.faults Faults.Write_drop then
+          (* reply computed (and any charge journaled), zero bytes written:
+             the client must retry through a torn connection *)
+          close_conn t `Normal c
+        else if Faults.fire t.faults Faults.Conn_reset then begin
+          (* first line only, no terminator: a torn frame mid-reply *)
+          match reply with
+          | first :: _ ->
+              queue_frame ~terminated:false c ~deadline [ first ];
+              c.close_after_flush <- true
+          | [] -> close_conn t `Normal c
+        end
+        else queue_frame c ~deadline reply
 
 let write_phase t c =
   if c.closed || not (has_output c) then ()
@@ -381,7 +405,7 @@ let run t =
           Option.to_list t.listener
           @ (match t.source with Control (fd, _) -> [ fd ] | Listen -> [])
           @ List.filter_map
-              (fun c -> if c.eof || t.stopping then None else Some c.fd)
+              (fun c -> if reading t c then Some c.fd else None)
               t.conns
         in
         let writes =

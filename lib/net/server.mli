@@ -29,7 +29,12 @@
       [max_inflight] queued work items, new arrivals are shed with
       [err overloaded retry-after=MS]. The shed decision and the hint
       are computed from queue depth {e only} — never ledger or budget
-      state — so being shed reveals nothing about spent ε.
+      state — so being shed reveals nothing about spent ε. A shed
+      line's reply waits its turn in the connection's queue, so replies
+      stay in request order; it does not count as queued work.
+    - {b Backpressure}: a connection whose queued lines plus unflushed
+      reply reach [max_inflight] is not read until they drain,
+      so a peer that pipelines without reading holds bounded memory.
     - {b Graceful drain}: {!request_stop} (called from SIGTERM/SIGINT
       handlers) makes {!run} stop accepting and reading, finish every
       queued request, flush every reply, close all connections, and

@@ -1,16 +1,18 @@
 #!/bin/sh
 # dpkit flow must (1) flag every seeded interprocedural violation in
-# flow_corpus/ — findings the token linter provably misses — with a
-# witness path, (2) leave `dpkit lint` silent on that same corpus,
-# (3) under `lint --flow`, replace the lexical R2/R8/R9 corpus
-# findings with F2/F3 ones, (4) honour rule-range exemptions and the
+# flow_corpus/ — findings no token rule can see — with a witness path,
+# and stay quiet on its clean case, (2) leave every lexical rule of
+# `dpkit lint` silent on that same corpus, (3) make `dpkit lint` report
+# the lint corpus's charge- and gate-before-release cases as F2, with
+# no lexical R2/R8 left, and flag that corpus's raw Prng.copy as F3
+# under `dpkit flow`, (4) honour rule-range exemptions and the
 # checked-in baseline, and (5) report nothing fresh on the
 # repository's own sources.
 set -u
 
 DPKIT="$1"
 
-# --- 1. the flow corpus: exactly 7 findings, 1×F1 + 3×F2 + 3×F3 ----
+# --- 1. the flow corpus: exactly 10 findings, 1×F1 + 6×F2 + 3×F3 ---
 out=$("$DPKIT" flow --format json flow_corpus)
 if [ $? -eq 0 ]; then
   echo "FAIL: corpus flow exited 0 (seeded violations not detected)"
@@ -21,20 +23,35 @@ n=$(printf '%s\n' "$out" | grep -c '"rule"')
 f1=$(printf '%s\n' "$out" | grep -c '"rule":"F1"')
 f2=$(printf '%s\n' "$out" | grep -c '"rule":"F2"')
 f3=$(printf '%s\n' "$out" | grep -c '"rule":"F3"')
-if [ "$n" -ne 7 ] || [ "$f1" -ne 1 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 3 ]; then
-  echo "FAIL: expected 7 corpus findings (1 F1, 3 F2, 3 F3), got $n ($f1/$f2/$f3)"
+if [ "$n" -ne 10 ] || [ "$f1" -ne 1 ] || [ "$f2" -ne 6 ] || [ "$f3" -ne 3 ]; then
+  echo "FAIL: expected 10 corpus findings (1 F1, 6 F2, 3 F3), got $n ($f1/$f2/$f3)"
   printf '%s\n' "$out"
   exit 1
 fi
 
 for f in launder_main charge_branch fire_helper wrap_helper smuggle_main \
-         seed_engine seed_net; do
+         seed_engine seed_net pay_skip gate_branch try_skip; do
   if ! printf '%s\n' "$out" | grep -q "$f\.ml"; then
     echo "FAIL: no finding reported in $f.ml"
     printf '%s\n' "$out"
     exit 1
   fi
 done
+
+# result-aware summaries: a helper that refuses with Error before it
+# pays makes its caller's Ok arm charged
+if printf '%s\n' "$out" | grep -q '"file":"[^"]*pay_first\.ml"'; then
+  echo "FAIL: F2 flagged the Ok arm of a pay-first helper (pay_first.ml)"
+  printf '%s\n' "$out"
+  exit 1
+fi
+
+# the gate obligation: a charged Released with a gate on one branch
+if ! printf '%s\n' "$out" | grep 'gate_branch\.ml' | grep -q 'convergence gate'; then
+  echo "FAIL: gate_branch.ml not reported with the gate message"
+  printf '%s\n' "$out"
+  exit 1
+fi
 
 # every corpus finding is interprocedural or whole-program: its witness
 # must exist, and the cross-module ones must span two files
@@ -44,7 +61,11 @@ for w in \
   "fire_main.ml:7:22 call to Fire_helper.fire" \
   "release_main.ml:11:2 call to Wrap_helper.wrap" \
   "smuggle_main.ml:10:27 certify-owned stream born" \
-  "seed_net.ml:6:16 seed 0x5EED in net domain"; do
+  "seed_net.ml:6:16 seed 0x5EED in net domain" \
+  "pay_skip.ml:6:8 call to Pay_helper.pay_or_skip" \
+  "pay_helper.ml:19:7 non-Error exit with no charge in Pay_helper.pay_or_skip" \
+  "try_skip.ml:7:8 call to Pay_helper.pay_or_raise" \
+  "pay_helper.ml:25:20 non-Error exit with no charge in Pay_helper.pay_or_raise"; do
   if ! printf '%s\n' "$text" | grep -q "via .*$w"; then
     echo "FAIL: witness step missing: $w"
     printf '%s\n' "$text"
@@ -52,30 +73,44 @@ for w in \
   fi
 done
 
-# --- 2. the token linter is blind to all of them -------------------
-if ! "$DPKIT" lint flow_corpus; then
-  echo "FAIL: dpkit lint flagged flow_corpus — corpus no longer exercises"
-  echo "      the interprocedural gap (a token rule caught a case)"
+# --- 2. the token rules are blind to all of them ------------------
+# plain lint merges flow's F2 findings, so it exits 1 here; no lexical
+# R rule may fire
+out=$("$DPKIT" lint --format json flow_corpus)
+if printf '%s\n' "$out" | grep -q '"rule":"R'; then
+  echo "FAIL: a lexical rule flagged flow_corpus — corpus no longer"
+  echo "      exercises the interprocedural gap"
+  printf '%s\n' "$out"
   exit 1
 fi
 
-# --- 3. lint --flow parity over the lexical corpus -----------------
-out=$("$DPKIT" lint --flow --format json lint_corpus)
+# --- 3. lint parity over the lexical corpus -------------------------
+out=$("$DPKIT" lint --format json lint_corpus)
 if [ $? -eq 0 ]; then
-  echo "FAIL: lint --flow exited 0 on lint_corpus"
+  echo "FAIL: lint exited 0 on lint_corpus"
   exit 1
 fi
-for r in R2 R8 R9; do
+for r in R2 R8; do
   if printf '%s\n' "$out" | grep -q "\"rule\":\"$r\""; then
-    echo "FAIL: lint --flow still reports lexical $r"
+    echo "FAIL: lint still reports lexical $r"
     printf '%s\n' "$out"
     exit 1
   fi
 done
+for pair in "bad_r2.ml F2" "bad_r8.ml F2" "bad_r9.ml R9"; do
+  file=${pair% *}; rule=${pair#* }
+  if ! printf '%s\n' "$out" | grep "\"rule\":\"$rule\"" | grep -q "$file"; then
+    echo "FAIL: lint did not report $rule on $file"
+    printf '%s\n' "$out"
+    exit 1
+  fi
+done
+# flow on its own: the lexical R9 case is also F3's raw-copy case
+out=$("$DPKIT" flow --format json lint_corpus)
 for pair in "bad_r2.ml F2" "bad_r8.ml F2" "bad_r9.ml F3"; do
   file=${pair% *}; rule=${pair#* }
   if ! printf '%s\n' "$out" | grep "\"rule\":\"$rule\"" | grep -q "$file"; then
-    echo "FAIL: lint --flow did not report $rule on $file"
+    echo "FAIL: flow did not report $rule on $file"
     printf '%s\n' "$out"
     exit 1
   fi
@@ -118,5 +153,7 @@ case "$real" in
     exit 1 ;;
 esac
 
-echo "flow: 7/7 corpus violations flagged with witnesses, lint blind to all,"
-echo "      lint --flow parity holds, range exemptions + baseline honoured"
+echo "flow: 10/10 corpus violations flagged with witnesses, clean case quiet,"
+echo "      token rules blind to all, lint reports R2/R8 cases as F2,"
+echo "      flow reports the raw Prng.copy as F3,"
+echo "      range exemptions + baseline honoured"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # dpkit lint must (1) flag every seeded violation in lint_corpus/ with
-# the expected rule id — exactly one finding per file, nine total —
-# (2) honour per-rule exemptions, and (3) report zero findings on the
+# the expected rule id — exactly one finding per file, nine total; the
+# charge- and gate-before-release files come back as flow's F2 — (2)
+# honour per-rule exemptions, and (3) report zero findings on the
 # repository's own sources.
 set -u
 
@@ -13,13 +14,23 @@ if [ $? -eq 0 ]; then
   exit 1
 fi
 
-for r in R1 R2 R3 R4 R5 R6 R7 R8 R9; do
-  if ! printf '%s\n' "$out" | grep -q "\"rule\":\"$r\""; then
-    echo "FAIL: rule $r did not fire on its corpus file"
+for pair in "bad_r1.ml R1" "bad_r2.ml F2" "bad_r3.ml R3" "bad_r4.ml R4" \
+            "bad_r5.ml R5" "bad_r6.ml R6" "bad_r7.ml R7" "bad_r8.ml F2" \
+            "bad_r9.ml R9"; do
+  file=${pair% *}; rule=${pair#* }
+  if ! printf '%s\n' "$out" | grep "\"rule\":\"$rule\"" | grep -q "$file"; then
+    echo "FAIL: $rule did not fire on $file"
     printf '%s\n' "$out"
     exit 1
   fi
 done
+
+# bad_r8 builds a Released model with no convergence gate: F2 must say so
+if ! printf '%s\n' "$out" | grep 'bad_r8\.ml' | grep -q 'convergence gate'; then
+  echo "FAIL: bad_r8.ml not reported with the gate message"
+  printf '%s\n' "$out"
+  exit 1
+fi
 
 n=$(printf '%s\n' "$out" | grep -c '"rule"')
 if [ "$n" -ne 9 ]; then
@@ -45,4 +56,5 @@ if ! "$DPKIT" lint --exempt ../lint.exempt ..; then
   exit 1
 fi
 
-echo "lint: 9/9 corpus violations flagged, R7 exemptable, repository clean"
+echo "lint: 9/9 corpus violations flagged (R2/R8 cases as F2), R7 exemptable,"
+echo "      repository clean"

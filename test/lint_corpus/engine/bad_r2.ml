@@ -1,5 +1,5 @@
-(* Seeded violation for R2: the release closure runs before any ledger
-   spend / journal append in the same definition. Never compiled. *)
+(* Seeded violation for F2 (the retired lexical R2): the release closure
+   runs before any ledger spend or journal append. Never compiled. *)
 
 let serve_uncharged (plan : Planner.plan) rng =
   let answer = plan.Planner.run rng in

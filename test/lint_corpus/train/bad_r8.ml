@@ -1,5 +1,5 @@
-(* Seeded violation for R8: a Released model constructed with no
-   convergence verdict in the same definition. Never compiled. *)
+(* Seeded violation for F2's gate obligation (the retired lexical R8): a
+   Released model constructed with no convergence verdict. Never compiled. *)
 
 type outcome =
   | Released of { theta : float array }

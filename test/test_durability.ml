@@ -557,6 +557,133 @@ let degraded_mode () =
   let report = ok_r "report" (Engine.report eng ~dataset:"demo") in
   Alcotest.(check bool) "report flags degraded" true report.Engine.degraded
 
+(* --- the pool's lease gate, in process --- *)
+
+(* The three fresh releases, each with a predicate on its error: the
+   request that a refusing gate must stop before its spend. *)
+let gated_requests =
+  let train_params =
+    match
+      Dp_train.Train.params_of_opts ~default_epsilon:0.1
+        [ ("backend", Some "objpert"); ("eps", Some "0.1") ]
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let stream_params =
+    match
+      Dp_stream.Stream.params_of_opts ~default_epsilon:0.1 [ ("N", Some "16") ]
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let drop = function Ok _ -> Ok () | Error e -> Error e in
+  [
+    ( "query",
+      fun eng ->
+        drop (Engine.submit_text eng ~epsilon:0.1 ~dataset:"demo" "count") );
+    ("train", fun eng -> drop (Engine.train eng ~dataset:"demo" train_params));
+    ( "stream open",
+      fun eng -> drop (Engine.stream_open eng ~dataset:"demo" stream_params) );
+  ]
+
+let gate_verdicts =
+  let face = Privacy.pure 0.1 and none = Privacy.pure 0. in
+  [
+    ( "denied",
+      Engine.Lease_denied { requested = face; remaining = none },
+      (function Engine.Budget_exceeded _ -> true | _ -> false),
+      "budget-exceeded" );
+    ( "superseded",
+      Engine.Lease_superseded { token = 7 },
+      (function Engine.Lease_lost { token = 7; _ } -> true | _ -> false),
+      "lease-lost" );
+    ( "unavailable",
+      Engine.Lease_unavailable "grant timed out",
+      (function Engine.Transient _ -> true | _ -> false),
+      "lease-unavailable" );
+  ]
+
+let last_record eng =
+  match List.rev (Engine.records eng ~dataset:"demo") with
+  | r :: _ -> r
+  | [] -> Alcotest.fail "no audit record"
+
+(* A refusing gate stops each fresh release before its spend: the typed
+   error, one more rejection, no spend, no journal frame, and an audit
+   record that names the mechanism and the requested face, as a ledger
+   rejection does. The face and mechanism are the ones the same request
+   is answered with when no gate stands in the way. *)
+let lease_refusals () =
+  List.iter
+    (fun (what, request) ->
+      let open_engine path =
+        let eng = fresh () in
+        ignore (ok (Engine.open_journal eng path));
+        ignore
+          (ok
+             (Engine.register_synthetic eng ~name:"demo" ~rows:400
+                ~policy:(policy ())));
+        eng
+      in
+      let answered =
+        with_journal (fun path ->
+            let eng = open_engine path in
+            ok_r what (request eng);
+            let r = last_record eng in
+            Engine.close eng;
+            r)
+      in
+      List.iter
+        (fun (verdict_name, verdict, expected, reason) ->
+          with_journal (fun path ->
+              let eng = open_engine path in
+              Engine.set_lease_gate eng
+                (Some (fun ~dataset:_ ~face:_ -> verdict));
+              let label = Printf.sprintf "%s, gate %s" what verdict_name in
+              let report () = ok_r "report" (Engine.report eng ~dataset:"demo") in
+              let appends () =
+                Dp_obs.Metrics.count
+                  (Dp_obs.Metrics.global (Engine.metrics eng))
+                  Dp_obs.Name.Journal_appends
+              in
+              let before = report () and appends0 = appends () in
+              (match request eng with
+              | Ok () -> Alcotest.failf "%s: served past a refusing gate" label
+              | Error e ->
+                  if not (expected e) then
+                    Alcotest.failf "%s: wrong error %s" label
+                      (Format.asprintf "%a" Engine.pp_error e));
+              let after = report () in
+              Alcotest.(check int)
+                (label ^ ": one more rejection")
+                (before.Engine.rejected + 1) after.Engine.rejected;
+              Alcotest.(check (float 0.))
+                (label ^ ": nothing spent")
+                before.Engine.spent.Privacy.epsilon
+                after.Engine.spent.Privacy.epsilon;
+              Alcotest.(check int)
+                (label ^ ": nothing journaled")
+                appends0 (appends ());
+              let r = last_record eng in
+              Alcotest.(check bool)
+                (label ^ ": rejected for the lease")
+                true
+                (r.Audit_log.verdict = Audit_log.Rejected reason);
+              Alcotest.(check (option string))
+                (label ^ ": mechanism logged")
+                answered.Audit_log.mechanism r.Audit_log.mechanism;
+              Alcotest.(check (float 0.))
+                (label ^ ": requested face logged")
+                answered.Audit_log.requested.Privacy.epsilon
+                r.Audit_log.requested.Privacy.epsilon;
+              Alcotest.(check (float 0.))
+                (label ^ ": nothing charged")
+                0. r.Audit_log.charged.Privacy.epsilon;
+              Engine.close eng))
+        gate_verdicts)
+    gated_requests
+
 (* --- protocol hardening --- *)
 
 let proto_exec eng line = String.concat "\n" (Protocol.exec eng line)
@@ -759,6 +886,11 @@ let () =
         ] );
       ( "degradation",
         [ Alcotest.test_case "low-water mark" `Quick degraded_mode ] );
+      ( "lease gate",
+        [
+          Alcotest.test_case "refusals stop before the spend" `Quick
+            lease_refusals;
+        ] );
       ( "protocol",
         [
           Alcotest.test_case "error taxonomy" `Quick protocol_taxonomy;

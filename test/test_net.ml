@@ -520,6 +520,44 @@ let flood_without_reading l () =
               | _ -> Alcotest.failf "connection %d after the flooder unanswered" i)
             others))
 
+(* Shed replies keep their place: a pipelined burst on one connection,
+   most of it over [max_inflight], gets one reply frame per line in
+   request order — each line's own reply or [err overloaded], never an
+   overloaded reply ahead of an earlier line's answer. The burst spans
+   several reads, so reading pauses at the bound and resumes once the
+   queue drains, which admits later lines again. A queued shed reply is
+   not load: the depth behind every hint is at most the admitted
+   requests plus this connection's unflushed reply, never the hundreds
+   of shed lines queued with them. *)
+let shed_replies_in_order l () =
+  let config = { default_test_config with max_inflight = 2 } in
+  let max_hint =
+    config.retry_after_base_ms * (1 + config.max_inflight + 1)
+  in
+  with_launched ~config l (fun s ->
+      let fd = connect s.port in
+      let lb = reader () in
+      let n = 500 in
+      let model i = Printf.sprintf "x/m%d" i in
+      send fd
+        (String.concat "" (List.init n (fun i -> "model " ^ model i ^ "\n")));
+      let answered = ref 0 and shed = ref 0 in
+      for i = 0 to n - 1 do
+        match frame fd lb with
+        | [ r ] when r = "err unknown-model " ^ model i -> incr answered
+        | [ r ] when contains ~sub:"err overloaded retry-after=" r ->
+            incr shed;
+            Scanf.sscanf r "err overloaded retry-after=%d" (fun ms ->
+                if ms > max_hint then
+                  Alcotest.failf "reply %d: hint %d ms counts shed lines as load"
+                    i ms)
+        | r -> Alcotest.failf "reply %d out of order: %s" i (String.concat "|" r)
+      done;
+      Unix.close fd;
+      Alcotest.(check bool) "some lines shed" true (!shed > 0);
+      Alcotest.(check bool) "lines admitted after a shed run" true
+        (!answered > 2))
+
 (* ------------------------------------------------------------------ *)
 (* Timeouts *)
 
@@ -846,6 +884,7 @@ let () =
             ("shed is budget-independent", shedding_budget_independent);
             ("inflight shedding", inflight_shedding);
             ("flood without reading", flood_without_reading);
+            ("shed replies keep request order", shed_replies_in_order);
           ] );
       ( "timeouts",
         per_launcher
