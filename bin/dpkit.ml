@@ -715,15 +715,6 @@ let flow_cmd =
         (const run $ paths_arg $ format_arg $ baseline_arg
        $ write_baseline_arg $ exempt_arg $ rules_arg))
 
-(* 4.14-compatible whole-file read (no In_channel.input_lines). *)
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Ok s
-  | exception Sys_error msg -> Error msg
-
 let stats_cmd =
   let file_arg =
     let doc =
@@ -769,7 +760,7 @@ let stats_cmd =
     List.concat_map check_entry entries
   in
   let run file format check =
-    match read_file file with
+    match Dp_engine.Wal.read_file file with
     | Error msg -> `Error (false, msg)
     | Ok text -> (
         match Dp_obs.Export.parse (String.split_on_char '\n' text) with
@@ -820,8 +811,8 @@ let analyze_cmd =
   let run schema_path workload_path strict =
     let result =
       let ( let* ) = Result.bind in
-      let* schema_text = read_file schema_path in
-      let* workload_text = read_file workload_path in
+      let* schema_text = Dp_engine.Wal.read_file schema_path in
+      let* workload_text = Dp_engine.Wal.read_file workload_path in
       let* schema =
         Result.map_error
           (Printf.sprintf "%s: %s" schema_path)
@@ -997,7 +988,7 @@ let certify_cmd =
       value & opt (some string) None & info [ "samples-out" ] ~docv:"FILE" ~doc)
   in
   let read_samples path =
-    match read_file path with
+    match Dp_engine.Wal.read_file path with
     | Error msg -> Error msg
     | Ok text -> (
         match

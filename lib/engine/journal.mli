@@ -22,12 +22,9 @@
     full noisy answer in hex-float encoding, so recovered cache hits
     replay bit-identically.
 
-    Wire format, one record:
-    {v
-    4-byte big-endian payload length
-    4-byte big-endian Adler-32 of the payload
-    payload
-    v} *)
+    The frame format, the torn-tail scan and the append path (retry,
+    cut-back, poisoning, fsync) are {!Wal}'s; this module is the
+    engine's record types and their codec. *)
 
 open Dp_mechanism
 
@@ -138,27 +135,16 @@ val open_ :
   ?jitter:Dp_rng.Prng.t ->
   string ->
   (t * record list * stats, string) result
-(** Open (or create) a journal for appending. [obs] (default
-    {!Dp_obs.Metrics.null}, a drop-everything sink) receives append and
-    fsync latency observations plus append/fsync/retry counters — the
-    engine passes its global scope. [jitter] (a non-privacy RNG stream,
-    see {!Faults.backoff_delay}) adds full jitter to the append/fsync
-    retry backoff. Existing records are
-    returned for replay; a torn tail is truncated off the file so the
-    next append starts at a clean frame boundary. Creating the file
-    also fsyncs the parent directory, so a crash right after creation
-    cannot lose the journal's directory entry (a missing journal reads
-    as an empty one — the one way recovery could under-count). [Error]
-    means the file could not be opened or repaired at all. *)
+(** {!Wal.open_}: open (or create) a journal for appending, returning
+    the records to replay; a torn tail is truncated off. The engine
+    passes its global scope as [obs] and its retry stream as [jitter].
+    [Error] means the file could not be opened or repaired at all. *)
 
 val append : t -> record -> (unit, [ `Transient of string | `Fatal of string ]) result
-(** Frame, write, flush and fsync one record, with bounded
-    retry-with-backoff ({!Faults.with_retries}) around both the write
-    and the fsync. [`Transient]: the record is not durable but the file
-    is clean — the caller may retry the whole operation later.
-    [`Fatal]: the file could not be restored to a clean state; the
-    journal is poisoned and every later append fails fatally (the
-    engine then degrades to serving cache hits only). *)
+(** {!Wal.append}: frame, write and fsync one record. [`Transient]: the
+    record is not durable; the caller may retry the whole operation
+    later. [`Fatal]: the journal is poisoned (the engine then degrades
+    to serving cache hits only). *)
 
 val path : t -> string
 val close : t -> unit

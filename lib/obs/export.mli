@@ -43,6 +43,9 @@ val parse_line : string -> (entry, string) result
 val parse : string list -> (entry list, string) result
 (** Inverse of [dump]: checks the header, skips blank lines. *)
 
+val histo_of_entry : entry -> Histo.t
+(** The histogram a [Latency] entry records; empty for any other entry. *)
+
 val pretty : entry list -> string list
 (** Human-readable rendering grouped by scope, with quantile summaries
     (p50/p90/p99 via {!Histo.quantile}) for latency entries and an

@@ -71,6 +71,7 @@ let set_gauge s g v = if s.live then s.gauges.(Name.gauge_index g) <- v
 let gauge s g = s.gauges.(Name.gauge_index g)
 let observe s l v = if s.live then Histo.record s.latencies.(Name.latency_index l) v
 let latency s l = s.latencies.(Name.latency_index l)
+let set_latency s l h = if s.live then s.latencies.(Name.latency_index l) <- h
 let label s = s.label
 let live s = s.live
 

@@ -54,4 +54,7 @@ val observe : scope -> Name.latency -> int -> unit
 
 val latency : scope -> Name.latency -> Histo.t
 
+val set_latency : scope -> Name.latency -> Histo.t -> unit
+(** Overwrites, like [set_counter]; used to mirror a merged snapshot. *)
+
 val reset : t -> unit

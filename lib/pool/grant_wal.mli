@@ -9,9 +9,12 @@
     shard — so replay is idempotent and a re-sent grant after a dropped
     ack changes nothing.
 
-    Wire format is the engine journal's: 4-byte big-endian payload
-    length, 4-byte big-endian Adler-32 of the payload, payload; a torn
-    tail is truncated on open. *)
+    The log itself is the engine's {!Dp_engine.Wal}, the one the budget
+    journal uses: the same frame format, the same torn-tail repair on
+    open, and the same append policy — bounded retries at the
+    [journal-write]/[journal-fsync] fault points, a poisoned log when a
+    failed write cannot be cut back, and a kept frame plus an error when
+    the fsync fails. *)
 
 type record =
   | Dataset of { name : string; eps : float; line : string }
@@ -35,18 +38,24 @@ type record =
 
 type t
 
-val open_ : string -> (t * record list * int, string) result
+val open_ :
+  ?faults:Dp_engine.Faults.t -> string -> (t * record list * int, string) result
 (** Open (or create) for appending; returns existing records and the
     torn-tail byte count truncated off. Creation fsyncs the parent
-    directory, like the engine journal. *)
+    directory. [faults] (default none) arms the append's
+    [journal-write]/[journal-fsync] points; no [journal_*] metric
+    moves, since the coordinator has no engine registry. *)
 
 val load : string -> (record list * int, string) result
 (** Read-only scan (no truncation); a missing file is an empty log. *)
 
 val append : t -> record -> (unit, string) result
-(** Frame, write and fsync one record. On failure the file is cut back
-    to the last clean frame; the caller must treat the grant as not
-    made (the worker times out and retries). *)
+(** Frame, write and fsync one record ({!Dp_engine.Wal.append}). On
+    [Error] the caller must treat the record as not made — withhold the
+    grant and roll the lease back (the worker times out and retries) —
+    even though a frame whose fsync failed stays in the file: if it
+    later proves durable, replay only over-states the outstanding
+    lease. *)
 
 val path : t -> string
 val close : t -> unit

@@ -19,6 +19,7 @@ module Server = Dp_net.Server
 module Metrics = Dp_obs.Metrics
 module Export = Dp_obs.Export
 module Name = Dp_obs.Name
+module Histo = Dp_obs.Histo
 
 let slack = 1e-9
 
@@ -610,13 +611,15 @@ let rec assign_conn coord fd =
 let spawn_worker coord shard =
   let cfg = coord.cfg in
   let token = coord.next_token in
+  (* spent even when the append fails: a frame whose fsync failed stays
+     in the log, and a token must never be issued twice *)
+  coord.next_token <- token + 1;
   match Grant_wal.append coord.wal (Grant_wal.Incarnation { shard; token }) with
   | Error msg ->
       Printf.eprintf "pool: grant wal: %s — leaving shard %d down\n%!" msg
         shard;
       false
   | Ok () ->
-      coord.next_token <- token + 1;
       coord.wal_appends <- coord.wal_appends + 1;
       Hashtbl.iter
         (fun _ lease -> Lease.new_incarnation lease ~shard ~token)
@@ -871,9 +874,9 @@ let reap coord =
   go ()
 
 (* Merge the per-shard metrics snapshots into one dump: counters sum;
-   additive gauges sum; the rest take the max; hit-rate and remaining
-   are recomputed from the merged numbers; pool counters are layered on
-   the global scope. *)
+   additive gauges sum; the rest take the max; latency histograms merge
+   bucket-wise; hit-rate and remaining are recomputed from the merged
+   numbers; pool counters are layered on the global scope. *)
 let additive_gauges =
   [
     "eps_spent"; "delta_spent"; "cache_entries"; "models_stored";
@@ -881,12 +884,15 @@ let additive_gauges =
     "capacity_bound_nats"; "min_entropy_leakage_bits";
   ]
 
-let counter_of_name n =
-  Array.to_seq Name.all_counters
-  |> Seq.find (fun c -> Name.counter_name c = n)
+let of_name all name_of n = Array.to_seq all |> Seq.find (fun x -> name_of x = n)
+let counter_of_name = of_name Name.all_counters Name.counter_name
+let gauge_of_name = of_name Name.all_gauges Name.gauge_name
+let latency_of_name = of_name Name.all_latencies Name.latency_name
 
-let gauge_of_name n =
-  Array.to_seq Name.all_gauges |> Seq.find (fun g -> Name.gauge_name g = n)
+(* fold [v] into [tbl]'s entry for [key] *)
+let merge_into tbl key combine v =
+  Hashtbl.replace tbl key
+    (match Hashtbl.find_opt tbl key with Some prev -> combine prev v | None -> v)
 
 let write_merged_metrics coord =
   match coord.cfg.metrics with
@@ -894,40 +900,29 @@ let write_merged_metrics coord =
   | Some base ->
       let counters : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
       let gauges : (string * string, float) Hashtbl.t = Hashtbl.create 64 in
+      let latencies : (string * string, Histo.t) Hashtbl.t = Hashtbl.create 16 in
       for k = 0 to coord.cfg.workers - 1 do
-        let path = shard_metrics base k in
-        if Sys.file_exists path then begin
-          let text =
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match Export.parse (String.split_on_char '\n' text) with
-          | Error _ -> ()
-          | Ok entries ->
-              List.iter
-                (function
-                  | Export.Counter { scope; name; value } ->
-                      let key = (scope, name) in
-                      let prev =
-                        Option.value ~default:0 (Hashtbl.find_opt counters key)
-                      in
-                      Hashtbl.replace counters key (prev + value)
-                  | Export.Gauge { scope; name; value } ->
-                      let key = (scope, name) in
-                      let prev =
-                        Option.value ~default:0.
-                          (Hashtbl.find_opt gauges key)
-                      in
-                      let v =
-                        if List.mem name additive_gauges then prev +. value
-                        else Float.max prev value
-                      in
-                      Hashtbl.replace gauges key v
-                  | Export.Latency _ | Export.Span _ -> ())
-                entries
-        end
+        match
+          Result.bind
+            (Wal.read_file (shard_metrics base k))
+            (fun text -> Export.parse (String.split_on_char '\n' text))
+        with
+        | Error _ -> ()
+        | Ok entries ->
+            List.iter
+              (function
+                | Export.Counter { scope; name; value } ->
+                    merge_into counters (scope, name) ( + ) value
+                | Export.Gauge { scope; name; value } ->
+                    merge_into gauges (scope, name)
+                      (if List.mem name additive_gauges then ( +. )
+                       else Float.max)
+                      value
+                | Export.Latency { scope; name; _ } as e ->
+                    merge_into latencies (scope, name) Histo.merge
+                      (Export.histo_of_entry e)
+                | Export.Span _ -> ())
+              entries
       done;
       (* recompute the derived gauges from the merged numbers *)
       let scopes =
@@ -970,6 +965,12 @@ let write_merged_metrics coord =
           | Some g -> Metrics.set_gauge (scope_of s) g v
           | None -> ())
         gauges;
+      Hashtbl.iter
+        (fun (s, name) h ->
+          match latency_of_name name with
+          | Some l -> Metrics.set_latency (scope_of s) l h
+          | None -> ())
+        latencies;
       let g = Metrics.global reg in
       Metrics.set_counter g Name.Pool_leases_granted coord.granted_n;
       Metrics.set_counter g Name.Pool_leases_denied coord.denied_n;
@@ -1065,7 +1066,7 @@ let run_locked cfg ~gen_lock ~stop =
         1
       end
       else
-        match Grant_wal.open_ (wal_path cfg.journal) with
+        match Grant_wal.open_ ~faults:cfg.faults (wal_path cfg.journal) with
         | Error msg ->
             Printf.eprintf "pool: %s\n%!" msg;
             1

@@ -20,8 +20,10 @@
 #
 # POOL_KILL_MODE selects the kill matrix entry: worker | coordinator |
 # both (default both — CI runs all three). POOL_FAULTS, when set, is
-# passed as --faults to every serving pool; CI's net-faults leg arms
-# the workers' network fault points with it.
+# passed as --faults to every serving pool; CI's fault legs arm the
+# workers' network fault points with it, and the journal fault points,
+# which the workers' shard journals and the coordinator's grant WAL
+# share.
 set -eu
 
 DPKIT="$1"
@@ -226,6 +228,11 @@ if [ "$KILL_MODE" = "coordinator" ] || [ "$KILL_MODE" = "both" ]; then
     echo "merged metrics failed stats --check"; exit 1; }
   grep -q 'pool_leases_granted' "$M" || {
     echo "pool counters missing from merged metrics:"; cat "$M"; exit 1; }
+  # latency histograms survive the merge: at least one scope's
+  # submit_ns histogram (line: histo SCOPE NAME COUNT ...) is non-empty
+  awk '$1 == "histo" && $3 == "submit_ns" && $4 > 0 { found = 1 }
+       END { exit !found }' "$M" || {
+    echo "submit_ns latency missing from merged metrics:"; cat "$M"; exit 1; }
 fi
 
 # --- the drained state replays clean and deterministically -------------

@@ -139,6 +139,115 @@ let torn_tail () =
       Alcotest.(check bool) "records survive garbage" true
         (loaded = sample_records))
 
+(* --- on-disk format, pinned: one frame per record constructor, byte
+   for byte. A journal written by any earlier build must stay
+   readable, so these literals change only with a deliberate format
+   version bump. --- *)
+
+let hex s =
+  let b = Buffer.create (2 * String.length s) in
+  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents b
+
+let golden_frames =
+  [
+    ( Journal.Register
+        {
+          name = "demo";
+          rows = 321;
+          seed = 7;
+          policy =
+            {
+              Registry.total = Privacy.approx ~epsilon:2. ~delta:1e-6;
+              backend = Ledger.Advanced { slack = 1e-9 };
+              default_epsilon = 0.1;
+              analyst_epsilon = Some 0.5;
+              universe = 100;
+              cache = true;
+              low_water = 0.;
+            };
+        },
+      "0000006a038e1bd652343b64656d6f3332313b373b307831702b313b\
+       3078312e30633666376130623565643864702d32303b613078312e31\
+       326530626538323664363935702d33303b3078312e39393939393939\
+       393939393961702d343b31307831702d313b3130303b31307830702b\
+       303b" );
+    ( Journal.Charge
+        {
+          dataset = "demo";
+          analyst = Some "alice";
+          query = "count";
+          mechanism = "laplace";
+          face = Privacy.approx ~epsilon:0.125 ~delta:1e-7;
+          marginal = Privacy.approx ~epsilon:0.125 ~delta:0.;
+          rho = Some [| 0.5; 1.5 |];
+        },
+      "0000005d68111baa43343b64656d6f31353b616c696365353b636f75\
+       6e74373b6c61706c616365307831702d333b3078312e616437663239\
+       61626361663438702d32343b307831702d333b307830702b303b3132\
+       3b307831702d313b3078312e38702b303b" );
+    ( Journal.Cache_insert
+        {
+          dataset = "demo";
+          key = "histogram(age,2)";
+          answer = Planner.Vector [| 1.5; -0.25 |];
+          mechanism = Planner.Laplace;
+          requested = Privacy.approx ~epsilon:0.2 ~delta:0.;
+        },
+      "0000004b5c28154d4b343b64656d6f31363b686973746f6772616d28\
+       6167652c32296c3078312e39393939393939393939393961702d333b\
+       307830702b303b76323b3078312e38702b303b2d307831702d323b" );
+    ( Journal.Withheld { dataset = "demo"; reason = "rng" },
+      "0000000c196f042157343b64656d6f333b726e67" );
+    ( Journal.Train
+        {
+          dataset = "demo";
+          handle = "demo/m1";
+          backend = "gibbs";
+          epsilon = 0.1;
+          chains = 2;
+          steps = 16;
+          beta = 0.5;
+          face = Privacy.approx ~epsilon:0.2 ~delta:0.;
+          target = "income";
+          features = [| ("age", 18., 90.) |];
+          theta = Some [| 0.25; -1. |];
+          rhat = [| 1.25 |];
+          ess = [| 12. |];
+          acceptance = 0.375;
+        },
+      "000000a72c732cc054343b64656d6f373b64656d6f2f6d31353b6769\
+       6262733078312e39393939393939393939393961702d343b323b3136\
+       3b307831702d313b3078312e39393939393939393939393961702d33\
+       3b307830702b303b363b696e636f6d65313b333b6167653078312e32\
+       702b343b3078312e3638702b363b31323b307831702d323b2d307831\
+       702b303b313b3078312e34702b303b313b3078312e38702b333b3078\
+       312e38702d323b" );
+    ( Journal.Stream_open
+        { dataset = "demo"; handle = "demo/s1"; epsilon = 0.5; horizon = 8; window = 0 },
+      "0000001b78f0081253343b64656d6f373b64656d6f2f733130783170\
+       2d313b383b303b" );
+    ( Journal.Stream_append
+        { dataset = "demo"; handle = "demo/s1"; bit = 1; nodes = [| 0.75 |] },
+      "0000001d855e086041343b64656d6f373b64656d6f2f7331313b313b\
+       3078312e38702d313b" );
+  ]
+
+let golden_format () =
+  List.iter
+    (fun (r, expected) ->
+      with_journal (fun path ->
+          let j, _, _ = ok (Journal.open_ path) in
+          (match Journal.append j r with
+          | Ok () -> ()
+          | Error (`Transient m | `Fatal m) -> Alcotest.fail m);
+          Journal.close j;
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check string) "frame bytes" expected (hex bytes);
+          let back, _ = ok (Journal.load path) in
+          Alcotest.(check bool) "frame decodes back" true (back = [ r ])))
+    golden_frames
+
 (* --- engine recovery --- *)
 
 let run_traffic eng =
@@ -857,6 +966,7 @@ let () =
         [
           Alcotest.test_case "encode/decode roundtrip" `Quick roundtrip;
           Alcotest.test_case "torn tail truncation" `Quick torn_tail;
+          Alcotest.test_case "golden frame bytes" `Quick golden_format;
         ] );
       ( "recovery",
         [

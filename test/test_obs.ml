@@ -451,6 +451,28 @@ let test_protocol_metrics () =
     "status carries remaining eps" true
     (List.exists (contains ~sub:"eps-remaining=") status)
 
+(* The catalogue's tables are numbered by hand: every constructor must
+   sit at its own index, the counts must match the tables, and no two
+   entries may share an exported name. *)
+let test_name_catalogue () =
+  let check_table what n all index name =
+    Alcotest.(check int) (what ^ " count matches table") n (Array.length all);
+    Array.iteri
+      (fun i x ->
+        Alcotest.(check int) (Printf.sprintf "%s %s index" what (name x)) i
+          (index x))
+      all;
+    let names = Array.to_list (Array.map name all) in
+    Alcotest.(check int) (what ^ " names unique") (List.length names)
+      (List.length (List.sort_uniq compare names))
+  in
+  check_table "counter" Name.n_counters Name.all_counters Name.counter_index
+    Name.counter_name;
+  check_table "gauge" Name.n_gauges Name.all_gauges Name.gauge_index
+    Name.gauge_name;
+  check_table "latency" Name.n_latencies Name.all_latencies Name.latency_index
+    Name.latency_name
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -466,6 +488,7 @@ let () =
         [
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counters;
           Alcotest.test_case "disabled registry" `Quick test_metrics_disabled;
+          Alcotest.test_case "name catalogue tables" `Quick test_name_catalogue;
         ] );
       ( "spans",
         [

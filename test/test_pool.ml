@@ -3,8 +3,9 @@
    WAL-failure-rollback interleavings with an honest worker model and
    asserts the two soundness properties the pool leans on: the invariant
    Σ reclaimed + Σ outstanding ≤ E never breaks, and no fencing token
-   is ever issued twice. The unit tests pin the grant WAL's round-trip
-   and torn-tail behavior, and the corner decisions of the arbiter. *)
+   is ever issued twice. The unit tests pin the grant WAL's on-disk
+   bytes, round-trip, torn-tail and fault behavior, and the corner
+   decisions of the arbiter. *)
 
 module Lease = Dp_pool.Lease
 module Grant_wal = Dp_pool.Grant_wal
@@ -243,7 +244,57 @@ let wal_tests =
       Grant_wal.Reclaim { shard = 0; token = 1; dataset = "demo"; spent = 0.3 };
     ]
   in
+  (* one frame per constructor, pinned byte for byte: a grant WAL
+     written by any earlier build must stay readable *)
+  let golden =
+    List.combine records
+      [
+        "0000003180e10f5644343b64656d6f3078312e34702b313b33303b72\
+         656769737465722064656d6f20726f77733d313030206570733d322e35";
+        "000000050380012149303b313b";
+        "0000001c6ff3079547303b313b343b64656d6f307831702d313b3078\
+         312e3838702b333b";
+        "0000002088b807e652303b313b343b64656d6f3078312e3333333333\
+         3333333333333333702d323b";
+      ]
+  in
+  let fresh_path () =
+    let path = Filename.temp_file "dpkit_wal" ".grants" in
+    Sys.remove path;
+    path
+  in
+  let open_wal ~spec path =
+    match Dp_engine.Faults.parse spec with
+    | Error msg -> Alcotest.fail msg
+    | Ok faults -> (
+        match Grant_wal.open_ ~faults path with
+        | Error msg -> Alcotest.fail msg
+        | Ok (wal, _, _) -> wal)
+  in
+  let hex s =
+    let b = Buffer.create (2 * String.length s) in
+    String.iter
+      (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+      s;
+    Buffer.contents b
+  in
   [
+    Alcotest.test_case "golden frame bytes" `Quick (fun () ->
+        List.iter
+          (fun (r, expected) ->
+            let path = Filename.temp_file "dpkit_wal" ".grants" in
+            Sys.remove path;
+            (match Grant_wal.open_ path with
+            | Error msg -> Alcotest.fail msg
+            | Ok (wal, _, _) ->
+                (match Grant_wal.append wal r with
+                | Ok () -> ()
+                | Error msg -> Alcotest.fail msg);
+                Grant_wal.close wal);
+            let bytes = In_channel.with_open_bin path In_channel.input_all in
+            Sys.remove path;
+            Alcotest.(check string) "frame bytes" expected (hex bytes))
+          golden);
     Alcotest.test_case "append/load round trip" `Quick (fun () ->
         let path = Filename.temp_file "dpkit_wal" ".grants" in
         Sys.remove path;
@@ -289,6 +340,49 @@ let wal_tests =
         | Ok (_, torn) ->
             check "open truncated the torn bytes" true (torn = 0);
             Sys.remove path);
+    Alcotest.test_case "one-shot write and fsync faults absorbed" `Quick
+      (fun () ->
+        let path = fresh_path () in
+        let wal = open_wal ~spec:"journal-write=2,journal-fsync=3" path in
+        List.iter
+          (fun r ->
+            match Grant_wal.append wal r with
+            | Ok () -> ()
+            | Error msg -> Alcotest.fail msg)
+          records;
+        Grant_wal.close wal;
+        (match Grant_wal.load path with
+        | Error msg -> Alcotest.fail msg
+        | Ok (back, torn) ->
+            check "no partial frame" true (torn = 0);
+            check "each record exactly once" true (back = records));
+        Sys.remove path);
+    Alcotest.test_case "exhausted write leaves the clean prefix" `Quick
+      (fun () ->
+        let path = fresh_path () in
+        let prefix = List.filteri (fun i _ -> i < 2) records in
+        let wal = open_wal ~spec:"off" path in
+        List.iter (fun r -> ignore (Grant_wal.append wal r)) prefix;
+        Grant_wal.close wal;
+        let clean = In_channel.with_open_bin path In_channel.input_all in
+        let wal = open_wal ~spec:"journal-write=always" path in
+        check "append fails" true
+          (Result.is_error (Grant_wal.append wal (List.nth records 2)));
+        Grant_wal.close wal;
+        check "file is the clean prefix" true
+          (In_channel.with_open_bin path In_channel.input_all = clean);
+        (* a failed fsync is the other rule: the frame stays, the append
+           still reports failure, and the caller withholds the grant *)
+        let wal = open_wal ~spec:"journal-fsync=always" path in
+        check "fsync failure reported" true
+          (Result.is_error (Grant_wal.append wal (List.nth records 2)));
+        Grant_wal.close wal;
+        (match Grant_wal.load path with
+        | Error msg -> Alcotest.fail msg
+        | Ok (back, torn) ->
+            check "unsynced frame kept whole" true
+              (torn = 0 && back = List.filteri (fun i _ -> i < 3) records));
+        Sys.remove path);
   ]
 
 let () =
