@@ -29,7 +29,9 @@ let rdp_delta (s : Registry.schema) =
 let gaussian_sigma ~l2 ~epsilon ~delta =
   l2 *. sqrt (2. *. log (1.25 /. delta)) /. epsilon
 
-let satisfies op threshold v =
+(* Monomorphic on purpose: float comparison compiles inline, where the
+   polymorphic one calls caml_lessequal once per scanned row. *)
+let satisfies op (threshold : float) (v : float) =
   match op with
   | Query.Le -> v <= threshold
   | Query.Lt -> v < threshold

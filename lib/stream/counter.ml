@@ -6,6 +6,12 @@
    into O(log T) already-noised blocks — prefix reads and window reads
    are both free post-processing of the same node values.
 
+   Only closed nodes are stored: each level's buffer starts empty and
+   doubles when a closing node's index reaches its end, capped at the
+   level's 2^(L-l) blocks. A stream holds about 2 floats per append
+   (at most twice that just after a doubling), independent of the
+   declared horizon, so opening a stream costs O(L).
+
    Noise handling is split in two so the engine can journal it: a
    durable append is [prepare] (compute the noisy values the closing
    nodes would take, drawing fresh noise) followed by [commit] (apply
@@ -19,7 +25,9 @@ type t = {
   epsilon : float;  (* per-level budget: each record meets one node per level *)
   horizon : int;
   levels : int;  (* L: node sizes 2^0 .. 2^(L-1) *)
-  nodes : float array array;  (* nodes.(l).(k): noisy sum of block k at level l *)
+  nodes : float array array;
+      (* nodes.(l).(k): noisy sum of closed block k at level l; the
+         buffer nodes.(l) grows as blocks close *)
   acc : int array;  (* true sum of the open block per level *)
   mutable t_now : int;
   mutable true_total : int;
@@ -47,8 +55,7 @@ let create ~epsilon ~horizon =
     epsilon;
     horizon;
     levels = l;
-    (* sized for the padded horizon 2^L so every block index is valid *)
-    nodes = Array.init l (fun lvl -> Array.make (1 lsl (l - lvl)) 0.);
+    nodes = Array.make l [||];
     acc = Array.make l 0;
     t_now = 0;
     true_total = 0;
@@ -91,6 +98,18 @@ let commit t ~bit values =
   let closing = closing_levels t step in
   if Array.length values <> List.length closing then
     invalid_arg "Counter.commit: node value count does not match closing levels";
+  (* grow first: an allocation failure must leave no field half-updated *)
+  List.iter
+    (fun lvl ->
+      let buf = t.nodes.(lvl) in
+      let len = Array.length buf in
+      if (step lsr lvl) - 1 >= len then begin
+        let cap = min (max 1 (2 * len)) (1 lsl (t.levels - lvl)) in
+        let grown = Array.make cap 0. in
+        Array.blit buf 0 grown 0 len;
+        t.nodes.(lvl) <- grown
+      end)
+    closing;
   t.t_now <- step;
   t.true_total <- t.true_total + bit;
   List.iteri

@@ -6,6 +6,9 @@
     over the same tree — windows are free post-processing, priced by
     the one whole-stream face charge of [epsilon * levels].
 
+    Memory is O(appends): only closed nodes are stored, about 2 floats
+    per append, independent of the declared horizon.
+
     Appends are split into {!prepare} (draw the noise the closing
     nodes take) and {!commit} (apply given node values), so a caller
     can make the noisy values durable between the two. Crash recovery
@@ -23,8 +26,10 @@ val max_horizon : int
 val create : epsilon:float -> horizon:int -> t
 (** [epsilon] is the per-level budget (each record meets exactly one
     node per level, so the stream costs [epsilon * levels ~horizon]
-    in total). Raises [Invalid_argument] on a non-positive epsilon or
-    a horizon outside [2, max_horizon]. *)
+    in total). O(levels) time and memory whatever the horizon: node
+    storage grows with the appends committed. Raises
+    [Invalid_argument] on a non-positive epsilon or a horizon outside
+    [2, max_horizon]. *)
 
 val t_now : t -> int
 val true_count : t -> int
@@ -43,7 +48,7 @@ val commit : t -> bit:int -> float array -> unit
 (** Apply one append with the given closing-node values — the second
     half of a live append, and the whole of a journal replay. Raises
     [Invalid_argument] when the value count does not match the levels
-    closing at this step. *)
+    closing at this step, leaving the counter unchanged. *)
 
 val read : t -> float
 (** Private count of the whole observed prefix. Deterministic given

@@ -1,6 +1,8 @@
 (* Continual-observation streaming end to end: tree-counter mechanics
    against a naive recompute oracle, the empirical variance bound the
-   tree mechanism promises (polylog in t, not linear), the static
+   tree mechanism promises (polylog in t, not linear), the lazily
+   grown node storage against an eager full-tree reference (same bits,
+   memory linear in appends, not in the horizon), the static
    analyzer pricing a stream float-bit-identical to serving it, and
    kill -9 durability — recovered streams release bit-identical counts
    and never reuse pre-crash tree noise. *)
@@ -175,6 +177,183 @@ let test_variance_bound () =
     true
     (var >= 0.2 *. !bound)
 
+(* --- lazy storage vs the eager layout -------------------------------- *)
+
+(* The eager reference: the tree with every node of the padded horizon
+   allocated up front, as the counter stored it before node buffers grew
+   on demand. Same closing rule, same decomposition, same sums. *)
+module Eager = struct
+  type t = {
+    epsilon : float;
+    levels : int;
+    nodes : float array array;
+    acc : int array;
+    mutable t_now : int;
+  }
+
+  let create ~epsilon ~horizon =
+    let l = Counter.levels ~horizon in
+    {
+      epsilon;
+      levels = l;
+      nodes = Array.init l (fun lvl -> Array.make (1 lsl (l - lvl)) 0.);
+      acc = Array.make l 0;
+      t_now = 0;
+    }
+
+  let closing_levels t step =
+    List.filter
+      (fun l -> step land ((1 lsl l) - 1) = 0)
+      (List.init t.levels Fun.id)
+
+  let prepare t ~bit ~noise =
+    Array.of_list
+      (List.map
+         (fun lvl -> float_of_int (t.acc.(lvl) + bit) +. noise ())
+         (closing_levels t (t.t_now + 1)))
+
+  let commit t ~bit values =
+    let step = t.t_now + 1 in
+    t.t_now <- step;
+    List.iteri
+      (fun i lvl ->
+        t.nodes.(lvl).((step lsr lvl) - 1) <- values.(i);
+        t.acc.(lvl) <- 0)
+      (closing_levels t step);
+    for l = 0 to t.levels - 1 do
+      if step land ((1 lsl l) - 1) <> 0 then t.acc.(l) <- t.acc.(l) + bit
+    done
+
+  let blocks t ~lo ~hi =
+    let rec go pos acc =
+      if pos >= hi then List.rev acc
+      else
+        let align =
+          if pos = 0 then t.levels - 1
+          else
+            let rec tz i =
+              if i >= t.levels - 1 || pos land ((1 lsl (i + 1)) - 1) <> 0
+              then i
+              else tz (i + 1)
+            in
+            tz 0
+        in
+        let rec fit l = if 1 lsl l <= hi - pos then l else fit (l - 1) in
+        let l = fit align in
+        go (pos + (1 lsl l)) ((l, pos lsr l) :: acc)
+    in
+    go lo []
+
+  let sum_blocks t bs =
+    List.fold_left (fun s (l, k) -> s +. t.nodes.(l).(k)) 0. bs
+
+  let read t =
+    if t.t_now = 0 then 0. else sum_blocks t (blocks t ~lo:0 ~hi:t.t_now)
+
+  let window t ~w =
+    let w = min w t.t_now in
+    if w = 0 then 0. else sum_blocks t (blocks t ~lo:(t.t_now - w) ~hi:t.t_now)
+
+  let read_variance t =
+    if t.t_now = 0 then 0.
+    else
+      let b = List.length (blocks t ~lo:0 ~hi:t.t_now) in
+      float_of_int b *. 2. /. (t.epsilon *. t.epsilon)
+end
+
+let check_same_bits label c e =
+  let t = Counter.t_now c in
+  let eq what a b =
+    Alcotest.(check int64) (Printf.sprintf "%s %s t=%d" label what t) (bits a)
+      (bits b)
+  in
+  eq "read" (Eager.read e) (Counter.read c);
+  eq "variance" (Eager.read_variance e) (Counter.read_variance c);
+  List.iter
+    (fun w ->
+      eq (Printf.sprintf "window w=%d" w) (Eager.window e ~w)
+        (ok (Counter.window c ~w)))
+    [ 1; 7; 64; t + 1 ]
+
+let test_differential_eager () =
+  (* same seeded Laplace noise into both layouts; every release must
+     agree to the bit at every step, including across buffer doublings *)
+  List.iter
+    (fun (horizon, appends) ->
+      let label = Printf.sprintf "N=%d" horizon in
+      let eps = 0.5 in
+      let c = Counter.create ~epsilon:eps ~horizon in
+      let e = Eager.create ~epsilon:eps ~horizon in
+      let draw rng () =
+        Dp_rng.Sampler.laplace ~mean:0. ~scale:(1. /. eps) rng
+      in
+      let rc = Dp_rng.Prng.create horizon and re = Dp_rng.Prng.create horizon in
+      check_same_bits label c e;
+      Array.iter
+        (fun bit ->
+          let vc = Counter.prepare c ~bit ~noise:(draw rc) in
+          let ve = Eager.prepare e ~bit ~noise:(draw re) in
+          Alcotest.(check (array int64))
+            (Printf.sprintf "%s prepared nodes t=%d" label (Counter.t_now c))
+            (Array.map bits ve) (Array.map bits vc);
+          Counter.commit c ~bit vc;
+          Eager.commit e ~bit ve;
+          check_same_bits label c e)
+        (lcg_bits horizon appends))
+    [
+      (2, 2);
+      (3, 3);
+      (1000, 1000);
+      (4097, 4097);
+      (Counter.max_horizon, 5000);
+    ]
+
+let words c = Obj.reachable_words (Obj.repr c)
+
+let test_residency () =
+  (* opening a stream must not allocate its horizon: the eager layout
+     held ~2^21 words at the max horizon *)
+  let c = Counter.create ~epsilon:1. ~horizon:Counter.max_horizon in
+  Alcotest.(check bool)
+    (Printf.sprintf "create holds %d words, below 256" (words c))
+    true
+    (words c < 256);
+  (* each append closes ~2 nodes amortised; buffers at most double *)
+  Array.iteri
+    (fun i bit ->
+      push c ~noise:zero_noise bit;
+      let k = i + 1 in
+      if k land (k - 1) = 0 || k mod 97 = 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words after %d appends <= 4k + 256" (words c) k)
+          true
+          (words c <= (4 * k) + 256))
+    (lcg_bits 31 5000)
+
+let test_commit_atomic () =
+  (* a rejected commit raises and leaves the counter exactly as it was,
+     also at a step whose closing levels would grow buffers *)
+  let c = Counter.create ~epsilon:1. ~horizon:64 in
+  let rng = Dp_rng.Prng.create 3 in
+  let noise () = Dp_rng.Sampler.laplace ~mean:0. ~scale:1. rng in
+  Array.iter (fun b -> push c ~noise b) (lcg_bits 17 7);
+  let t0 = Counter.t_now c
+  and n0 = Counter.true_count c
+  and r0 = Counter.read c in
+  (* step 8 closes levels 0..3: four values are due, give three *)
+  let values = Counter.prepare c ~bit:1 ~noise in
+  Alcotest.(check int) "four nodes close at step 8" 4 (Array.length values);
+  (match Counter.commit c ~bit:1 (Array.sub values 0 3) with
+  | () -> Alcotest.fail "short value array accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "t_now unchanged" t0 (Counter.t_now c);
+  Alcotest.(check int) "true_count unchanged" n0 (Counter.true_count c);
+  Alcotest.(check int64) "read unchanged" (bits r0) (bits (Counter.read c));
+  (* the full array still commits afterwards *)
+  Counter.commit c ~bit:1 values;
+  Alcotest.(check int) "advances after a good commit" (t0 + 1)
+    (Counter.t_now c)
+
 (* --- served lifecycle ------------------------------------------------ *)
 
 let open_stream ?(opts = [ ("eps", Some "0.05"); ("N", Some "16") ]) eng =
@@ -315,7 +494,7 @@ let journaled_engine ~seed path =
   let r = ok (Engine.open_journal eng path) in
   (r, eng)
 
-let test_recovery_bit_identical () =
+let recovery_bit_identical ~horizon ~appends ~window =
   with_journal (fun path ->
       let _, eng = journaled_engine ~seed:5 path in
       (match
@@ -325,15 +504,24 @@ let test_recovery_bit_identical () =
       | Error e -> Alcotest.fail e);
       ignore
         (open_stream
-           ~opts:[ ("eps", Some "0.1"); ("N", Some "64"); ("window", Some "8") ]
+           ~opts:
+             [
+               ("eps", Some "0.1");
+               ("N", Some (string_of_int horizon));
+               ("window", Some (string_of_int window));
+             ]
            eng);
       Array.iter
         (fun b -> ignore (ok_r "append" (Engine.append eng "d/s1" b)))
-        (lcg_bits 3 40);
+        (lcg_bits 3 appends);
       let read1 = (ok_r "read" (Engine.stream_read eng "d/s1")).Engine.count in
-      let win1 =
-        (ok_r "window" (Engine.stream_window eng "d/s1" ())).Engine.count
+      let windows eng =
+        List.map
+          (fun w ->
+            (ok_r "window" (Engine.stream_window eng "d/s1" ?w ())).Engine.count)
+          [ None; Some 1; Some 7; Some 64; Some (appends + 1) ]
       in
+      let win1 = windows eng in
       let spent1 = spent eng in
       (* kill -9 equivalent: a fresh engine on the same journal *)
       let rec2, eng2 = journaled_engine ~seed:5 path in
@@ -343,12 +531,10 @@ let test_recovery_bit_identical () =
         (ok_r "read after recovery" (Engine.stream_read eng2 "d/s1"))
           .Engine.count
       in
-      let win2 =
-        (ok_r "window after recovery" (Engine.stream_window eng2 "d/s1" ()))
-          .Engine.count
-      in
+      let win2 = windows eng2 in
       Alcotest.(check int64) "prefix count bits" (bits read1) (bits read2);
-      Alcotest.(check int64) "window count bits" (bits win1) (bits win2);
+      Alcotest.(check (list int64)) "window count bits" (List.map bits win1)
+        (List.map bits win2);
       let spent2 =
         (ok_r "report" (Engine.report eng2 ~dataset:"d")).Engine.spent
       in
@@ -362,6 +548,14 @@ let test_recovery_bit_identical () =
       in
       Alcotest.(check int64) "seed-independent replay" (bits read2)
         (bits read3))
+
+(* Run at a small horizon and at the largest, where the appends before
+   the kill cross several node-buffer doublings. *)
+let test_recovery_bit_identical () =
+  List.iter
+    (fun (horizon, appends, window) ->
+      recovery_bit_identical ~horizon ~appends ~window)
+    [ (64, 40, 8); (Counter.max_horizon, 600, 100) ]
 
 let test_no_noise_reuse_after_recovery () =
   (* The freshness invariant: recovery consumes zero PRNG draws, so a
@@ -453,6 +647,12 @@ let () =
           Alcotest.test_case "window vs naive oracle" `Quick
             test_window_vs_oracle;
           Alcotest.test_case "variance bound" `Quick test_variance_bound;
+          Alcotest.test_case "bit-identical to the eager layout" `Quick
+            test_differential_eager;
+          Alcotest.test_case "memory follows appends, not horizon" `Quick
+            test_residency;
+          Alcotest.test_case "rejected commit changes nothing" `Quick
+            test_commit_atomic;
         ] );
       ( "serving",
         [
