@@ -267,12 +267,12 @@ type response = {
 let zero = { Privacy.epsilon = 0.; delta = 0. }
 
 let log_decision t ?analyst ?mechanism ~dataset ~query ~requested ~charged
-    ~cache_hit ~verdict () =
+    ~verdict () =
   match t.log with
   | None -> -1
   | Some log ->
       (Audit_log.append log ?analyst ?mechanism ~dataset ~query ~requested
-         ~charged ~cache_hit ~verdict ())
+         ~charged ~verdict ())
         .Audit_log.seq
 
 let degraded_for t (sv : serving) =
@@ -329,8 +329,7 @@ type fresh = {
 
 let log_fresh t (f : fresh) ~charged verdict =
   log_decision t ?analyst:f.analyst ~mechanism:f.mech ~dataset:f.name
-    ~query:f.query ~requested:f.charge.Ledger.budget ~charged
-    ~cache_hit:false ~verdict ()
+    ~query:f.query ~requested:f.charge.Ledger.budget ~charged ~verdict ()
 
 (* A request turned away before planning or charging: counted as
    rejected, logged with no face. *)
@@ -338,7 +337,7 @@ let reject_early t (sv : serving) ?analyst ~dataset ~query reason =
   sv.rejected <- sv.rejected + 1;
   ignore
     (log_decision t ?analyst ~dataset ~query ~requested:zero ~charged:zero
-       ~cache_hit:false ~verdict:(Audit_log.Rejected reason) ())
+       ~verdict:(Audit_log.Rejected reason) ())
 
 let reject_bad t sv ?analyst ~dataset ~query msg =
   reject_early t sv ?analyst ~dataset ~query msg;
@@ -485,11 +484,14 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
   in
   match cached with
   | Some entry ->
+      (* a hit is free post-processing: it only bumps its key's counter *)
       let seq =
-        log_decision t ?analyst
-          ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
-          ~dataset ~query:norm ~requested:entry.Cache.requested ~charged:zero
-          ~cache_hit:true ~verdict:Audit_log.Cached ()
+        match t.log with
+        | None -> -1
+        | Some log ->
+            Audit_log.hit log
+              ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
+              ~dataset ~query:norm ~requested:entry.Cache.requested
       in
       Ok
         {
@@ -515,8 +517,7 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
           | Error msg ->
               ignore
                 (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-                   ~charged:zero ~cache_hit:false
-                   ~verdict:(Audit_log.Rejected msg) ());
+                   ~charged:zero ~verdict:(Audit_log.Rejected msg) ());
               Error (Bad_query msg)
           | Ok plan -> (
               let sp = plan.Planner.spec in
@@ -649,6 +650,8 @@ let pp_report fmt r =
     r.queries r.answered r.cache_hits r.rejected r.hit_rate Privacy.pp_budget
     r.total Privacy.pp_budget r.spent Privacy.pp_budget r.remaining Meter.pp
     r.leakage
+
+let audit_log t = t.log
 
 let records t ~dataset =
   match t.log with
@@ -1139,7 +1142,7 @@ let apply_record t counts (record, withheld) =
         (log_decision t ?analyst:c.Journal.analyst
            ~mechanism:c.Journal.mechanism ~dataset:c.Journal.dataset
            ~query:c.Journal.query ~requested:c.Journal.face
-           ~charged:c.Journal.marginal ~cache_hit:false ~verdict ());
+           ~charged:c.Journal.marginal ~verdict ());
       counts.rc_charges <- counts.rc_charges + 1
   | Journal.Cache_insert k ->
       let sv = recovered_serving t ~what:"caches" k.Journal.dataset in

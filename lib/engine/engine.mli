@@ -145,7 +145,11 @@ type report = {
 val report : t -> dataset:string -> (report, error) result
 val pp_report : Format.formatter -> report -> unit
 
+val audit_log : t -> Audit_log.t option
+(** [None] when the engine was created with [~audit:false]. *)
+
 val records : t -> dataset:string -> Audit_log.record list
+(** The dataset's charged and refused decisions, in decision order. *)
 
 val replay : t -> dataset:string -> (Dp_audit.Replay.outcome, error) result
 (** Re-verify the audit log's charged trace against the dataset's total

@@ -255,12 +255,22 @@ let metrics_reply eng =
   Printf.sprintf "ok metrics lines=%d" (List.length lines)
   :: List.map (fun l -> "  " ^ l) lines
 
+(* The records in decision order, then one line per cache key. *)
 let log_lines eng dataset =
-  match Engine.records eng ~dataset with
+  let lines =
+    match Engine.audit_log eng with
+    | None -> []
+    | Some log ->
+        List.map
+          (Format.asprintf "  %a" Audit_log.pp_record)
+          (Audit_log.for_dataset log dataset)
+        @ List.map
+            (Format.asprintf "  %a" Audit_log.pp_hits)
+            (Audit_log.hits log dataset)
+  in
+  match lines with
   | [] -> [ "ok log empty" ]
-  | rs ->
-      Printf.sprintf "ok log entries=%d" (List.length rs)
-      :: List.map (fun r -> Format.asprintf "  %a" Audit_log.pp_record r) rs
+  | _ -> Printf.sprintf "ok log entries=%d" (List.length lines) :: lines
 
 let replay_lines eng dataset =
   match Engine.replay eng ~dataset with

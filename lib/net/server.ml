@@ -183,6 +183,11 @@ let adopt t fd =
   if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
     Unix.set_nonblock fd;
+    (* without it a reply written while the previous one is still
+       unacknowledged waits behind Nagle for the peer's delayed ACK;
+       a non-TCP fd (a socketpair) has no such option *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error _ -> ());
     let c = mk_conn fd in
     if List.length t.conns >= t.cfg.max_conns then begin
       (* shed at the door, but with a typed reply: the client learns

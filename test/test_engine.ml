@@ -450,6 +450,148 @@ let test_determinism () =
   Alcotest.(check (list string)) "deterministic" (transcript ()) (transcript ())
 
 (* ------------------------------------------------------------------ *)
+(* Audit log *)
+
+(* Cache hits are counted per key, not recorded: the log must not grow
+   with them. *)
+let test_audit_hits_constant_memory () =
+  let eng = demo_engine () in
+  let q = match Query.parse "count" with Ok q -> q | Error m -> failwith m in
+  let submit () =
+    match Engine.submit eng ~dataset:"demo" q with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "submit: %a" Engine.pp_error e
+  in
+  ignore (submit ());
+  let r = submit () in
+  Alcotest.(check bool) "second is a hit" true r.Engine.cache_hit;
+  let log =
+    match Engine.audit_log eng with
+    | Some log -> log
+    | None -> Alcotest.fail "audit log disabled"
+  in
+  let words () = Obj.reachable_words (Obj.repr log) in
+  let after_one = words () in
+  for _ = 2 to 50_000 do
+    ignore (submit ())
+  done;
+  Alcotest.(check int) "audit log words after 50,000 hits" after_one (words ());
+  match Audit_log.hits log "demo" with
+  | [ h ] -> Alcotest.(check int) "hits counted" 50_000 h.Audit_log.count
+  | hs -> Alcotest.failf "expected one hit counter, got %d" (List.length hs)
+
+(* Answered, cached, rejected, withheld and lease-refused decisions on
+   two datasets: replies keep their seq numbers, [log] prints each record
+   in the exact record format and one counter line per cache key, and
+   the audit replay is the same live and after recovery. *)
+let test_audit_log_equivalence () =
+  let path = Filename.temp_file "dpkit_audit" ".journal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let eng = Engine.create ~seed:5 () in
+  (match Engine.open_journal eng path with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "open_journal: %s" msg);
+  Engine.set_lease_gate eng
+    (Some
+       (fun ~dataset ~face ->
+         if dataset = "b" && face.Privacy.epsilon = 0.07 then
+           Engine.Lease_unavailable "test"
+         else Engine.Lease_granted));
+  let seqs = ref [] in
+  let run line =
+    match Protocol.exec eng line with
+    | first :: _ as reply ->
+        (if starts_with "ok seq=" first then
+           Scanf.sscanf first "ok seq=%d" (fun n -> seqs := n :: !seqs));
+        reply
+    | [] -> Alcotest.failf "no reply to %S" line
+  in
+  List.iter
+    (fun line -> ignore (run line))
+    [
+      "register a rows=100 eps=1 default-eps=0.1";
+      "register b rows=100 eps=1 default-eps=0.1";
+      "query a count" (* #0 answered *);
+      "query a count" (* #1 hit *);
+      "query b count" (* #2 answered *);
+      "query a count" (* #3 hit *);
+      "query a mean(nosuch)" (* #4 rejected at planning *);
+      "query a count eps=0.95" (* #5 rejected: budget *);
+      "train a eps=0.05 steps=16 burn=0 step-std=1e-12" (* #6 withheld *);
+      "query b count eps=0.07" (* #7 lease refused *);
+      "query b count" (* #8 hit *);
+      "query a count" (* #9 hit *);
+      "query b mean(income)" (* #10 answered *);
+      "query a count(age>30) eps=0.2" (* #11 answered *);
+      "query a count(age>30) eps=0.2" (* #12 hit *);
+    ];
+  Alcotest.(check (list int)) "ok seq= numbers" [ 0; 1; 2; 3; 8; 9; 10; 11; 12 ]
+    (List.rev !seqs);
+  let log_a = run "log a" and log_b = run "log b" in
+  Alcotest.(check (list string)) "log a"
+    [
+      "ok log entries=7";
+      "  #0 - a count mech=geometric requested=0.1-DP charged=0.1-DP \
+       cache=miss answered";
+      "  #4 - a mean(nosuch) mech=- requested=0-DP charged=0-DP cache=miss \
+       rejected:unknown column \"nosuch\" in dataset \"a\" (have: age, \
+       income, score)";
+      "  #5 - a count mech=geometric requested=0.95-DP charged=0-DP \
+       cache=miss rejected:budget-exceeded";
+      "  #6 - a train(gibbs,target=score,eps=0.05,chains=2,steps=16) \
+       mech=gibbs requested=0.1-DP charged=0.1-DP cache=miss \
+       charged-unreleased:unconverged";
+      "  #11 - a count(age>30) mech=geometric requested=0.2-DP \
+       charged=0.2-DP cache=miss answered";
+      "  hits query=count mech=geometric requested=0.1-DP count=3 first=#1 \
+       last=#9";
+      "  hits query=count(age>30) mech=geometric requested=0.2-DP count=1 \
+       first=#12 last=#12";
+    ]
+    log_a;
+  Alcotest.(check (list string)) "log b"
+    [
+      "ok log entries=4";
+      "  #2 - b count mech=geometric requested=0.1-DP charged=0.1-DP \
+       cache=miss answered";
+      "  #7 - b count mech=geometric requested=0.07-DP charged=0-DP \
+       cache=miss rejected:lease-unavailable";
+      "  #10 - b mean(income) mech=laplace requested=0.1-DP charged=0.1-DP \
+       cache=miss answered";
+      "  hits query=count mech=geometric requested=0.1-DP count=1 first=#8 \
+       last=#8";
+    ]
+    log_b;
+  Alcotest.(check bool) "no record of b in log a" false
+    (List.exists (contains ~sub:" - b ") log_a);
+  let replays e = List.concat_map (Protocol.exec e) [ "replay a"; "replay b" ] in
+  let live = replays eng in
+  Alcotest.(check (list string)) "live replay"
+    [
+      "ok replay consistent eps-spent=0.4"; "ok replay consistent eps-spent=0.2";
+    ]
+    live;
+  Engine.close eng;
+  let recovered = Engine.create ~seed:5 () in
+  (match Engine.open_journal recovered path with
+  | Ok r -> Alcotest.(check bool) "recovery verified" true r.Engine.verified
+  | Error msg -> Alcotest.failf "recovery: %s" msg);
+  Alcotest.(check (list string)) "recovered replay" live (replays recovered);
+  Alcotest.(check (list string)) "recovered log a"
+    [
+      "ok log entries=3";
+      "  #0 - a count mech=geometric requested=0.1-DP charged=0.1-DP \
+       cache=miss answered";
+      "  #2 - a train(gibbs,target=score,eps=0.05,chains=2,steps=16) \
+       mech=gibbs requested=0.1-DP charged=0.1-DP cache=miss \
+       charged-unreleased:unconverged";
+      "  #4 - a count(age>30) mech=geometric requested=0.2-DP \
+       charged=0.2-DP cache=miss answered";
+    ]
+    (Protocol.exec recovered "log a");
+  Engine.close recovered
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let qcheck_tests =
@@ -573,6 +715,13 @@ let () =
           Alcotest.test_case "replay matches marginals" `Quick
             test_replay_and_marginals;
           Alcotest.test_case "leakage meter" `Quick test_leakage_meter;
+        ] );
+      ( "audit log",
+        [
+          Alcotest.test_case "hits do not grow the log" `Quick
+            test_audit_hits_constant_memory;
+          Alcotest.test_case "records, hit counters and replay" `Quick
+            test_audit_log_equivalence;
         ] );
       ( "protocol",
         [

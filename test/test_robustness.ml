@@ -129,8 +129,6 @@ let pac_bayes_cases =
              ~beta:1.
              ~loss:(fun _ _ -> 0.)
              ()));
-    rejects "diagnostics single chain" (fun () ->
-        ignore (Dp_pac_bayes.Diagnostics.gelman_rubin [| [| 1.; 2.; 3.; 4. |] |]));
   ]
 
 let info_cases =
