@@ -197,8 +197,11 @@ let serve_cmd =
   let journal_arg =
     let doc =
       "Write-ahead budget journal. Charges are fsynced to $(docv) before \
-       any noisy answer is released; on startup existing records are \
-       replayed, so spent budget survives crashes."
+       any noisy answer is released; cache records ride the next fsync \
+       (losing one only re-charges a repeat), and exit fsyncs them too. \
+       With --tcp the requests of one server turn share one fsync. On \
+       startup existing records are replayed, so spent budget survives \
+       crashes."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in

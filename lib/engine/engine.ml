@@ -36,6 +36,14 @@ type serving = {
   mutable withheld : int;
 }
 
+(* State one request may hold while it is parked in a group commit. *)
+type hold =
+  | Cache_key of string
+  | Stream_handle of string
+  | Next_model of string  (** a dataset's next model handle *)
+  | Next_stream of string  (** a dataset's next stream handle *)
+  | Dataset_name of string
+
 type t = {
   registry : Registry.t;
   servings : (string, serving) Hashtbl.t;
@@ -49,6 +57,8 @@ type t = {
   faults : Faults.t;
   mutable journal : Journal.t option;
   mutable journal_failed : bool;
+  in_flight : (hold, unit) Hashtbl.t;
+      (** what requests parked in a group commit hold; see [holding] *)
   mutable lease_gate :
     (dataset:string -> face:Privacy.budget -> lease_verdict) option;
 }
@@ -101,6 +111,7 @@ let create ?(seed = 20120330) ?(audit = true) ?(obs = true) ?faults () =
     faults;
     journal = None;
     journal_failed = false;
+    in_flight = Hashtbl.create 8;
     lease_gate = None;
   }
 
@@ -179,17 +190,63 @@ let pp_error fmt = function
 
 (* Journaling. An [Error] from here means the record is not durable:
    for budget charges the caller must withhold the answer (the in-memory
-   ledger stays charged, so the accounting can only over-count). *)
-let journal_append t record =
+   ledger stays charged, so the accounting can only over-count).
+   [written] gets the frame's ordinal when the frame was written, even
+   if its fsync then failed: a refusal marker names the frame by it. A
+   failed write adds no frame and never parks, so the log has grown
+   past [ord] exactly when this frame is at [ord]. [~sync:false] is for
+   loss-safe records only (see [Journal.append]). *)
+let journal_append ?sync ?(written = ignore) t record =
   match t.journal with
   | None -> Ok ()
   | Some j -> (
-      match Journal.append j record with
+      let ord = Journal.frames j in
+      let appended = Journal.append ?sync j record in
+      if Journal.frames j > ord then written ord;
+      match appended with
       | Ok () -> Ok ()
       | Error (`Transient msg) -> Error (Transient msg)
       | Error (`Fatal msg) ->
           t.journal_failed <- true;
           Error (Fatal msg))
+
+(* A best-effort, loss-safe marker naming frames whose effect the live
+   engine refused (see [Journal.Withheld]); with nothing to name there
+   is nothing to write. *)
+let refuse_frames t ~dataset reason frames =
+  if frames <> [] then
+    ignore
+      (journal_append ~sync:false t
+         (Journal.Withheld { dataset; reason; frames }))
+
+(* A durable append whose failure names the frame, if it was written,
+   in a marker: recovery then skips it, as the live engine did. *)
+let journal_append_or_refuse t ~dataset record =
+  let written = ref [] in
+  match journal_append t ~written:(fun o -> written := [ o ]) record with
+  | Ok () -> Ok ()
+  | Error _ as e ->
+      refuse_frames t ~dataset "journal" !written;
+      e
+
+(* Group commit ([Wal.group]) parks a request inside a durable append.
+   Another request that needs what the parked one holds — the same
+   cache key, the same stream, the next handle of a dataset, the same
+   dataset name — waits for the batch, so every request sees the state
+   a sequential run would have shown it. Outside a group nothing is
+   ever held when a request starts, so nothing waits. *)
+let await_free t key =
+  while Hashtbl.mem t.in_flight key do
+    Wal.await ()
+  done
+
+let hold t key f =
+  Hashtbl.replace t.in_flight key ();
+  Fun.protect ~finally:(fun () -> Hashtbl.remove t.in_flight key) f
+
+let holding t key f =
+  await_free t key;
+  hold t key f
 
 let register_serving t (ds : Registry.dataset) =
   match Registry.register t.registry ds with
@@ -224,6 +281,7 @@ let register t (ds : Registry.dataset) =
   else register_serving t ds
 
 let register_synthetic t ~name ~rows ~policy =
+  holding t (Dataset_name name) @@ fun () ->
   match Registry.find t.registry name with
   | Some _ -> Error (Printf.sprintf "dataset %S already registered" name)
   | None -> (
@@ -241,16 +299,14 @@ let register_synthetic t ~name ~rows ~policy =
       with
       | exception Invalid_argument msg -> Error msg
       | ds -> (
-          match register_serving t ds with
-          | Error _ as e -> e
-          | Ok () -> (
-              match journal_append t (Journal.Register { name; rows; seed; policy }) with
-              | Ok () -> Ok ds
-              | Error e ->
-                  (* never servable without being durable *)
-                  Registry.remove t.registry name;
-                  Hashtbl.remove t.servings name;
-                  Error (Format.asprintf "%a" pp_error e))))
+          (* never servable without being durable: the frame goes first,
+             and the held name keeps a second registration out *)
+          match
+            journal_append_or_refuse t ~dataset:name
+              (Journal.Register { name; rows; seed; policy })
+          with
+          | Error e -> Error (Format.asprintf "%a" pp_error e)
+          | Ok () -> Result.map (fun () -> ds) (register_serving t ds)))
 
 let datasets t = Registry.names t.registry
 let find t name = Registry.find t.registry name
@@ -325,7 +381,11 @@ type fresh = {
   query : string;  (** normalized request text *)
   mech : string;
   charge : Ledger.charge;
+  mutable frames : int list;
+      (** ordinals of the frames it wrote: what a withheld marker names *)
 }
+
+let note (f : fresh) o = f.frames <- o :: f.frames
 
 let log_fresh t (f : fresh) ~charged verdict =
   log_decision t ?analyst:f.analyst ~mechanism:f.mech ~dataset:f.name
@@ -361,14 +421,15 @@ let refuse_fresh t (sv : serving) ~analyst ~dataset ~query =
   else None
 
 (* A charged request whose answer may not leave the engine. The ledger
-   stays charged, and the audit log and a best-effort [Withheld] frame
-   record the spend, so nothing can under-count: losing the frame only
-   makes recovery over-count [answered], never the budget. *)
+   stays charged, and the audit log and a best-effort [Withheld] marker
+   naming the release's frames record the spend, so nothing can
+   under-count: losing the marker only makes recovery over-count
+   [answered], never the budget. *)
 let withhold t (sv : serving) (f : fresh) ~charged reason err =
   sv.rejected <- sv.rejected + 1;
   sv.withheld <- sv.withheld + 1;
   ignore (log_fresh t f ~charged (Audit_log.Charged_unreleased reason));
-  ignore (journal_append t (Journal.Withheld { dataset = f.name; reason }));
+  refuse_frames t ~dataset:f.name reason f.frames;
   Error err
 
 (* A released answer, counted and logged; returns its audit seq. *)
@@ -417,7 +478,7 @@ let charge_fresh t (sv : serving) (f : fresh) =
             }
           in
           match
-            journal_append t
+            journal_append t ~written:(note f)
               (Journal.Charge
                  {
                    Journal.dataset = f.name;
@@ -472,6 +533,7 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
      consulting the ledger — post-processing is free even after the
      budget is exhausted, and still served in degraded mode. *)
   let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
+  await_free t (Cache_key key);
   let cached =
     if ds.policy.cache then begin
       let c0 = Dp_obs.Clock.now_ns () in
@@ -503,6 +565,9 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
           seq;
         }
   | None -> (
+      (* a miss holds its key until the answer is cached, so a repeat
+         that arrives while this release is parked hits the cache *)
+      hold t (Cache_key key) @@ fun () ->
       match refuse_fresh t sv ~analyst ~dataset ~query:norm with
       | Some e -> Error e
       | None -> (
@@ -528,6 +593,7 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
                   query = norm;
                   mech = Planner.mechanism_name sp.Planner.mechanism;
                   charge = sp.Planner.charge;
+                  frames = [];
                 }
               in
               match charge_fresh t sv f with
@@ -558,10 +624,11 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
                             requested = face;
                           };
                         (* a lost cache record is safe (a future miss
-                           re-charges: over-counting), so a failure here
-                           does not withhold the answer *)
+                           re-charges: over-counting), so it rides the
+                           next fsync and a failure here does not
+                           withhold the answer *)
                         ignore
-                          (journal_append t
+                          (journal_append ~sync:false t
                              (Journal.Cache_insert
                                 {
                                   Journal.dataset;
@@ -733,6 +800,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                   query = norm;
                   mech = mech_name;
                   charge = { Ledger.budget = face; rdp = None };
+                  frames = [];
                 }
               in
               (* the spend is durable before any chain touches the data *)
@@ -753,6 +821,9 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                     Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_train
                       (fun () -> Train.run ~gate_hook spec design t.rng)
                   in
+                  (* the next handle stays ours until the model is in
+                     the store *)
+                  holding t (Next_model dataset) @@ fun () ->
                   let handle =
                     Printf.sprintf "%s/m%d" dataset
                       (Model_store.size sv.models + 1)
@@ -787,7 +858,10 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                       (* the handle exists iff its frame is durable: a
                          model that cannot be journaled is withheld,
                          never released from memory alone *)
-                      match journal_append t (train_journal_record m) with
+                      match
+                        journal_append t ~written:(note f)
+                          (train_journal_record m)
+                      with
                       | Error e -> withhold t sv f ~charged "journal" e
                       | Ok () ->
                           Model_store.add sv.models m;
@@ -805,12 +879,15 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                             charged;
                           }
                       in
-                      (* outcome marker first (pairs with the charge),
-                         then the durable withheld handle; the charge
-                         stands either way — never a refund, never a
-                         biased sample *)
+                      (* outcome marker for the charge, then the
+                         durable withheld handle; the charge stands
+                         either way — never a refund, never a biased
+                         sample *)
                       ignore (withhold t sv f ~charged "unconverged" unconverged);
-                      match journal_append t (train_journal_record m) with
+                      match
+                        journal_append_or_refuse t ~dataset
+                          (train_journal_record m)
+                      with
                       | Error e -> Error e
                       | Ok () ->
                           Model_store.add sv.models m;
@@ -905,6 +982,7 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
                   query = norm;
                   mech = Stream.mechanism_name;
                   charge = { Ledger.budget = spec.Stream.face; rdp = None };
+                  frames = [];
                 }
               in
               (* the whole-lifetime face is durable before the handle
@@ -912,6 +990,7 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
               match charge_fresh t sv f with
               | Error e -> Error e
               | Ok charged -> (
+                  holding t (Next_stream dataset) @@ fun () ->
                   let handle =
                     Printf.sprintf "%s/s%d" dataset
                       (Stream_store.size sv.streams + 1)
@@ -919,7 +998,7 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
                   (* the handle exists iff its frame is durable, like
                      model handles *)
                   match
-                    journal_append t
+                    journal_append t ~written:(note f)
                       (Journal.Stream_open
                          {
                            Journal.dataset;
@@ -964,12 +1043,17 @@ let streams t ~dataset =
    are served even in low-water degraded mode — like cache hits, they
    consume no fresh budget. They do need durability: without a working
    journal the closing nodes' noise could be lost after a later read
-   released it, so a failed journal refuses appends outright. *)
+   released it, so a failed journal refuses appends outright. A refused
+   append whose frame was written anyway (its fsync failed) is named by
+   a marker, so recovery skips it and commits exactly what the live
+   tree did. *)
 let append t handle bit =
   match stream_lookup t handle with
   | None -> Error (Unknown_stream handle)
   | Some (sv, s) ->
       let a0 = Dp_obs.Clock.now_ns () in
+      (* the tree's next step is this append's until it commits *)
+      holding t (Stream_handle handle) @@ fun () ->
       if t.journal_failed then Error journal_down
       else if bit <> 0 && bit <> 1 then Error (Bad_query "append expects 0 or 1")
       else if Counter.t_now s.Stream_store.counter
@@ -981,19 +1065,18 @@ let append t handle bit =
                 s.Stream_store.spec.Stream.params.Stream.horizon))
       else
         let c = s.Stream_store.counter in
+        let dataset = s.Stream_store.dataset in
         let scale = Counter.noise_scale c in
         let nodes =
-          Dp_obs.Span.with_ t.trace ~dataset:s.Stream_store.dataset
-            Dp_obs.Name.Sp_noise (fun () ->
+          Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_noise (fun () ->
               Counter.prepare c ~bit ~noise:(fun () ->
                   Dp_rng.Sampler.laplace ~mean:0. ~scale t.stream_rng))
         in
         (* noise-before-release, durably: the frame carrying the noisy
            node values is fsynced before the tree mutates *)
         match
-          journal_append t
-            (Journal.Stream_append
-               { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes })
+          journal_append_or_refuse t ~dataset
+            (Journal.Stream_append { Journal.dataset; handle; bit; nodes })
         with
         | Error e -> Error e
         | Ok () ->
@@ -1077,20 +1160,35 @@ type replay_counts = {
   mutable rc_streams : int;
 }
 
-(* A [Withheld] marker immediately follows the charge whose answer was
-   withheld live (nothing else is journaled in between), so recovered
-   stats and audit verdicts match the live run. An unpaired marker —
-   its charge's own append failed before it — carries no information
-   and is dropped. The one remaining divergence is a genuine crash
-   between charge and answer: no marker could be written, so recovery
+(* The live outcome of each frame, by ordinal. A [Withheld] marker
+   names the frames whose effect the live engine refused: a named
+   charge is rebuilt as withheld with the marker's reason, and any
+   other named frame is dropped, since the live engine never applied
+   it. A legacy marker names nothing and pairs with the charge right
+   before it. The one remaining divergence is a genuine crash between
+   charge and answer: no marker could be written, so recovery
    conservatively counts that charge as answered (budget-wise the two
    outcomes are identical). *)
-let rec pair_outcomes = function
-  | (Journal.Charge c as r) :: Journal.Withheld { dataset; reason } :: rest
-    when dataset = c.Journal.dataset ->
-      (r, Some reason) :: pair_outcomes rest
-  | r :: rest -> (r, None) :: pair_outcomes rest
-  | [] -> []
+let live_outcomes records =
+  let refused = Hashtbl.create 8 in
+  let rec scan i prev = function
+    | [] -> ()
+    | r :: rest ->
+        (match (r, prev) with
+        | ( Journal.Withheld { frames = []; dataset; reason },
+            Some (Journal.Charge c) )
+          when dataset = c.Journal.dataset ->
+            Hashtbl.replace refused (i - 1) reason
+        | Journal.Withheld { frames; reason; _ }, _ ->
+            List.iter (fun o -> Hashtbl.replace refused o reason) frames
+        | _ -> ());
+        scan (i + 1) (Some r) rest
+  in
+  scan 0 None records;
+  List.mapi (fun i r -> (r, Hashtbl.find_opt refused i)) records
+  |> List.filter (function
+       | Journal.Charge _, _ | _, None -> true
+       | _, Some _ -> false)
 
 (* The serving a journal record names; recovery fails on an unknown
    dataset. *)
@@ -1275,7 +1373,7 @@ let open_journal_inner t path =
           { rc_charges = 0; rc_cache = 0; rc_models = 0; rc_streams = 0 }
         in
         let n_datasets_before = Hashtbl.length t.servings in
-        match List.iter (apply_record t counts) (pair_outcomes records) with
+        match List.iter (apply_record t counts) (live_outcomes records) with
         | exception Recovery_failed msg ->
             Journal.close j;
             Error (Printf.sprintf "journal %s: recovery failed: %s" path msg)

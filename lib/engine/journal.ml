@@ -57,7 +57,7 @@ type record =
   | Register of { name : string; rows : int; seed : int; policy : Registry.policy }
   | Charge of charge_record
   | Cache_insert of cache_record
-  | Withheld of { dataset : string; reason : string }
+  | Withheld of { dataset : string; reason : string; frames : int list }
   | Train of train_record
   | Stream_open of stream_open_record
   | Stream_append of stream_append_record
@@ -130,10 +130,16 @@ let encode b = function
       put_mechanism b k.mechanism;
       put_budget b k.requested;
       put_answer b k.answer
-  | Withheld { dataset; reason } ->
+  | Withheld { dataset; reason; frames = [] } ->
       Buffer.add_char b 'W';
       put_str b dataset;
       put_str b reason
+  | Withheld { dataset; reason; frames } ->
+      Buffer.add_char b 'M';
+      put_str b dataset;
+      put_str b reason;
+      put_int b (List.length frames);
+      List.iter (put_int b) frames
   | Train m ->
       Buffer.add_char b 'T';
       put_str b m.dataset;
@@ -241,7 +247,15 @@ let decode c =
   | 'W' ->
       let dataset = get_str c in
       let reason = get_str c in
-      Withheld { dataset; reason }
+      Withheld { dataset; reason; frames = [] }
+  | 'M' ->
+      let dataset = get_str c in
+      let reason = get_str c in
+      let n = get_int c in
+      if n < 1 || n > 1_000 then raise Corrupt;
+      let frames = List.init n (fun _ -> get_int c) in
+      if List.exists (fun f -> f < 0) frames then raise Corrupt;
+      Withheld { dataset; reason; frames }
   | 'T' ->
       let dataset = get_str c in
       let handle = get_str c in
@@ -315,6 +329,7 @@ let open_ ?faults ?obs ?jitter path =
       (t, records, stats))
     (Wal.open_ ?faults ?obs ?jitter codec path)
 
-let append = Wal.append
+let append ?sync t r = Wal.append ?sync t r
+let frames = Wal.frames
 let path = Wal.path
 let close = Wal.close

@@ -8,7 +8,9 @@
 
     - every state change (dataset registration, budget charge, cache
       insert) is appended as one length-prefixed, Adler-32-checksummed
-      record and fsynced {e before} the noisy answer is released;
+      record; every record that authorizes a release is fsynced
+      {e before} the noisy answer is released (a cache record is not:
+      losing it only re-charges a repeat);
     - recovery replays the journal into a fresh engine, truncating a
       torn tail record (a crash mid-write) at the last valid frame;
     - because the charge is durable before the answer exists, a crash
@@ -97,14 +99,20 @@ type record =
     }
   | Charge of charge_record
   | Cache_insert of cache_record
-  | Withheld of { dataset : string; reason : string }
-      (** outcome marker, appended best-effort right after a [Charge]
-          whose answer was withheld live (journal or RNG failure after
-          the ledger committed): recovery pairs it with the preceding
-          charge so rebuilt answered/rejected stats and audit verdicts
-          match the live run. Losing the marker (it is not fsync-gated
-          the way charges are) only makes recovery over-count
-          [answered]; the budget itself is carried by the [Charge]. *)
+  | Withheld of { dataset : string; reason : string; frames : int list }
+      (** outcome marker for a live refusal after frames were already
+          written: [frames] are the 0-based ordinals (see {!frames}) of
+          the frames whose effect the live engine refused. A named
+          [Charge] was withheld (journal, RNG or gate failure after the
+          ledger committed), so recovery rebuilds it as
+          charged-unreleased; any other named frame ([Register],
+          [Train], [Stream_open], [Stream_append]) is skipped, since
+          the live engine never applied it. Markers are appended
+          best-effort and loss-safe ([~sync:false]): losing one only
+          makes recovery over-count [answered] or keep a refused
+          frame, never lose a charge. Encoded with tag ['M']; a legacy
+          ['W'] marker decodes with [frames = []] and pairs with the
+          [Charge] directly before it. *)
   | Train of train_record
       (** a completed training run — released or withheld — appended
           after its [Charge] (and, when unconverged, after the
@@ -140,11 +148,19 @@ val open_ :
     passes its global scope as [obs] and its retry stream as [jitter].
     [Error] means the file could not be opened or repaired at all. *)
 
-val append : t -> record -> (unit, [ `Transient of string | `Fatal of string ]) result
-(** {!Wal.append}: frame, write and fsync one record. [`Transient]: the
-    record is not durable; the caller may retry the whole operation
-    later. [`Fatal]: the journal is poisoned (the engine then degrades
-    to serving cache hits only). *)
+val append :
+  ?sync:bool ->
+  t ->
+  record ->
+  (unit, [ `Transient of string | `Fatal of string ]) result
+(** {!Wal.append}: frame, write and (unless [~sync:false]) fsync one
+    record. [`Transient]: the record is not durable; the caller may
+    retry the whole operation later. [`Fatal]: the journal is poisoned
+    (the engine then degrades to serving cache hits only). Only
+    [Cache_insert] and [Withheld] are appended with [~sync:false]. *)
+
+val frames : t -> int
+(** {!Wal.frames}: the ordinal the next written frame gets. *)
 
 val path : t -> string
 val close : t -> unit

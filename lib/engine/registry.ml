@@ -178,5 +178,4 @@ let register t (ds : dataset) =
     Ok ())
 
 let find t name = Hashtbl.find_opt t name
-let remove t name = Hashtbl.remove t name
 let names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])

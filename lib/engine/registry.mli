@@ -105,8 +105,4 @@ val create : unit -> t
 val register : t -> dataset -> (unit, string) result
 val find : t -> string -> dataset option
 
-val remove : t -> string -> unit
-(** Used to roll back a registration whose journal append failed — a
-    dataset must never be servable without being durable. *)
-
 val names : t -> string list

@@ -168,12 +168,43 @@ type 'r t = {
   obs : Dp_obs.Metrics.scope;
   jitter : Dp_rng.Prng.t option;
       (** non-privacy stream for retry-backoff full jitter *)
+  id : int;  (** tells logs apart in a group commit *)
   mutable clean_off : int;  (** end of the last fully-appended frame *)
+  mutable frames : int;  (** frames in the file: the next frame's ordinal *)
+  mutable unsynced : bool;  (** a frame was written since the last fsync *)
   mutable poisoned : bool;
 }
 
 let path t = t.path
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+let frames t = t.frames
+let next_id = ref 0
+
+(* The fsync that makes every frame written so far durable, with the
+   append's retry policy (fault point {!Faults.Journal_fsync}). A log
+   with nothing unsynced has nothing to do. *)
+let sync_log t =
+  if not t.unsynced then Ok ()
+  else begin
+    let f0 = Dp_obs.Clock.now_ns () in
+    let synced =
+      Faults.with_retries ?jitter:t.jitter (fun ~attempt ->
+          if attempt > 1 then
+            Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_retries;
+          Faults.check t.faults ~attempt Faults.Journal_fsync;
+          Unix.fsync t.fd)
+    in
+    Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_fsync_ns
+      (Dp_obs.Clock.elapsed_ns f0);
+    if Result.is_ok synced then begin
+      t.unsynced <- false;
+      Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_fsyncs
+    end;
+    synced
+  end
+
+let close t =
+  ignore (sync_log t);
+  try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* A freshly-created log is not durable until its directory entry is:
    without an fsync of the parent directory, a crash shortly after
@@ -203,9 +234,21 @@ let open_ ?(faults = Faults.none) ?(obs = Dp_obs.Metrics.null) ?jitter codec
         in
         if not existed then fsync_dir path;
         if torn > 0 then Unix.ftruncate fd good;
+        incr next_id;
         Ok
-          ( { codec; path; fd; faults; obs; jitter; clean_off = good;
-              poisoned = false },
+          ( {
+              codec;
+              path;
+              fd;
+              faults;
+              obs;
+              jitter;
+              id = !next_id;
+              clean_off = good;
+              frames = List.length records;
+              unsynced = false;
+              poisoned = false;
+            },
             records,
             torn )
       with
@@ -222,7 +265,19 @@ let write_all fd s =
   in
   go 0
 
-let append t record =
+(* ------------------------------------------------------------------ *)
+(* Group commit: the parking itself is {!Park}'s. *)
+
+let await = Park.await
+
+let group ?trace ?(more = fun () -> []) jobs =
+  let depth () =
+    match trace with Some tr -> Dp_obs.Span.current_depth tr | None -> 0
+  in
+  let set_depth d = Option.iter (fun tr -> Dp_obs.Span.set_depth tr d) trace in
+  Park.run ~depth ~set_depth ~more jobs
+
+let append ?(sync = true) t record =
   let label = t.codec.label in
   if t.poisoned then
     Error (`Fatal (Printf.sprintf "%s poisoned by an earlier failure" label))
@@ -257,20 +312,15 @@ let append t record =
                    label msg)))
     | Ok () -> (
         t.clean_off <- t.clean_off + String.length framed;
-        let f0 = Dp_obs.Clock.now_ns () in
-        let sync =
-          Faults.with_retries ?jitter:t.jitter (fun ~attempt ->
-              if attempt > 1 then
-                Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_retries;
-              Faults.check t.faults ~attempt Faults.Journal_fsync;
-              Unix.fsync t.fd)
+        t.frames <- t.frames + 1;
+        t.unsynced <- true;
+        Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_appends;
+        let synced =
+          if not sync then Ok ()
+          else Park.durable ~id:t.id ~sync:(fun () -> sync_log t)
         in
-        Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_fsync_ns
-          (Dp_obs.Clock.elapsed_ns f0);
-        match sync with
+        match synced with
         | Ok () ->
-            Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_fsyncs;
-            Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_appends;
             Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_append_ns
               (Dp_obs.Clock.elapsed_ns t0);
             Ok ()

@@ -29,12 +29,20 @@
     - if every attempt fails, the file is cut back once more and the
       append returns [`Transient]; if even that cut fails, the log is
       {e poisoned}: this and every later append returns [`Fatal];
-    - a written frame is fsynced with the same retry (fault point
-      {!Faults.Journal_fsync}). If the fsync still fails, the frame is
-      kept and [`Transient] is returned: the caller withholds whatever
-      the record was to authorize, or rolls it back, and may retry. A
-      kept frame that later proves durable can only over-state what was
-      spent or granted, never under-state it. *)
+    - a durable append ([~sync:true], the default) is then fsynced
+      with the same retry (fault point {!Faults.Journal_fsync}). If the
+      fsync still fails, the frame is kept and [`Transient] is
+      returned: the caller withholds whatever the record was to
+      authorize, or rolls it back, and may retry. A kept frame that
+      later proves durable can only over-state what was spent or
+      granted, never under-state it;
+    - a loss-safe append ([~sync:false]) writes its frame and returns:
+      the frame rides the next fsync of the log, or {!close}'s. Use it
+      only for a record whose loss can only over-state what was spent.
+
+    Group commit: inside {!group}, a durable append parks once its
+    frame is written, and one fsync per log covers every frame parked
+    in the round. Outside {!group} the append fsyncs inline. *)
 
 (** {1 Payload encoding} *)
 
@@ -96,8 +104,45 @@ val open_ :
     stream (see {!Faults.backoff_delay}), adds full jitter to the retry
     backoff. *)
 
-val append : 'r t -> 'r -> (unit, [ `Transient of string | `Fatal of string ]) result
-(** Frame, write and fsync one record under the append policy above. *)
+val append :
+  ?sync:bool ->
+  'r t ->
+  'r ->
+  (unit, [ `Transient of string | `Fatal of string ]) result
+(** Frame and write one record, then (unless [~sync:false]) make it
+    durable under the append policy above. [journal_appends] counts
+    every written frame, [journal_fsyncs] every fsync. *)
+
+val frames : 'r t -> int
+(** Valid frames in the file, unsynced ones included: the 0-based
+    ordinal the next written frame will get. A failed write adds no
+    frame. *)
+
+val group :
+  ?trace:Dp_obs.Span.t ->
+  ?more:(unit -> (unit -> unit) list) ->
+  (unit -> unit) list ->
+  unit
+(** Group commit. Run each job until it returns or parks: a job parks
+    when a durable {!append} has written its frame, or in {!await}.
+    Once no job can run, [more] (default: none) is asked for jobs that
+    became ready meanwhile, and those start too, until it returns [].
+    Then one fsync per log (with the append's retry and fault point)
+    covers every frame written to it so far, and the parked jobs resume
+    in the order they parked, each append returning its log's fsync
+    outcome. Rounds repeat until every job has returned. No parked job
+    resumes before every fsync of its round has run. With
+    [trace], each job keeps its own span depth across a park. An
+    exception from a job propagates; jobs still parked are dropped. *)
+
+val await : unit -> unit
+(** Inside {!group}: park until the current round's fsyncs are done.
+    A request that needs state a parked request holds (the same cache
+    key, the same stream) calls this until the holder has finished.
+    Outside {!group} there is nothing to wait for, and it raises
+    [Invalid_argument]. *)
 
 val path : 'r t -> string
+
 val close : 'r t -> unit
+(** Fsync any unsynced frame (best effort), then close. *)

@@ -60,6 +60,7 @@ type t = {
   mutable listener : Unix.file_descr option;  (** [Listen]'s, until drain *)
   port : int;
   scope : Dp_obs.Metrics.scope;
+  trace : Dp_obs.Span.t;
   faults : Faults.t;
   mutable conns : conn list;
   mutable stopping : bool;
@@ -94,6 +95,7 @@ let create ?(config = default_config) ?(source = Listen) ?exec eng =
       listener;
       port;
       scope = Dp_obs.Metrics.global (Engine.metrics eng);
+      trace = Engine.trace eng;
       faults = Engine.faults eng;
       conns = [];
       stopping = false;
@@ -109,10 +111,12 @@ let request_stop t = t.stopping <- true
 
 let has_output c = c.out_pos < Bytes.length c.out
 
-(* A conn the exec phase would serve right now: a request is queued
-   and the previous reply is fully flushed. *)
+(* A conn the exec phase would serve right now: a request is queued,
+   the previous reply is fully flushed, and no request of this conn is
+   parked in the running group commit. *)
 let runnable c =
-  (not c.closed) && (not (has_output c)) && not (Queue.is_empty c.requests)
+  (not c.closed) && (not (has_output c)) && c.req_start_ns = 0
+  && not (Queue.is_empty c.requests)
 
 (* Admission depth: requests waiting to execute plus replies waiting to
    flush. This is the ONLY input to the shed decision and the
@@ -263,8 +267,14 @@ let read_phase t c =
     match Unix.read c.fd read_buf 0 (Bytes.length read_buf) with
     | 0 ->
         c.eof <- true;
-        if Queue.is_empty c.requests && not (has_output c) then
-          close_conn t `Normal c
+        (* a half-closed peer still gets the reply of a request that is
+           parked in the running group commit ([req_start_ns] > 0):
+           [write_phase] closes once it is flushed *)
+        if
+          Queue.is_empty c.requests
+          && (not (has_output c))
+          && c.req_start_ns = 0
+        then close_conn t `Normal c
     | n -> List.iter (handle_line t c) (Linebuf.feed c.lb read_buf 0 n)
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -272,45 +282,72 @@ let read_phase t c =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_conn t `Normal c
 
-(* Execute at most one queued request per conn per loop turn (round-
-   robin fairness), and only once the previous reply frame is fully
-   flushed — the reply order on a connection is the request order. A
-   shed reply is already formed and takes its turn like a request. *)
-let exec_phase t c =
-  if runnable c then
-    match Queue.pop c.requests with
-    | Shed line, arrived ->
-        queue_frame c ~deadline:(arrived +. t.cfg.reply_deadline_s) [ line ]
-    | Request l, arrived ->
-        c.admitted <- c.admitted - 1;
-        let deadline = arrived +. t.cfg.reply_deadline_s in
-        c.req_start_ns <- Dp_obs.Clock.now_ns ();
-        Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
-        let text, bytes =
-          if Faults.fire t.faults Faults.Garbage_line then
-            let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
-            (g, String.length g)
-          else (l.Linebuf.text, l.Linebuf.bytes)
-        in
-        let reply =
-          if bytes > Protocol.max_line_bytes then
-            [ Protocol.oversized_reply bytes ]
-          else t.exec text
-        in
-        if Protocol.is_quit text then c.close_after_flush <- true;
-        if Faults.fire t.faults Faults.Write_drop then
-          (* reply computed (and any charge journaled), zero bytes written:
-             the client must retry through a torn connection *)
-          close_conn t `Normal c
-        else if Faults.fire t.faults Faults.Conn_reset then begin
-          (* first line only, no terminator: a torn frame mid-reply *)
-          match reply with
-          | first :: _ ->
-              queue_frame ~terminated:false c ~deadline [ first ];
-              c.close_after_flush <- true
-          | [] -> close_conn t `Normal c
-        end
-        else queue_frame c ~deadline reply
+(* Run one conn's head request — called only when it is [runnable],
+   so the previous reply frame is fully flushed and the reply order on
+   a connection is the request order. A shed reply is already formed
+   and takes its turn like a request. *)
+let exec_request t c =
+  match Queue.pop c.requests with
+  | Shed line, arrived ->
+      queue_frame c ~deadline:(arrived +. t.cfg.reply_deadline_s) [ line ]
+  | Request l, arrived ->
+      c.admitted <- c.admitted - 1;
+      let deadline = arrived +. t.cfg.reply_deadline_s in
+      c.req_start_ns <- Dp_obs.Clock.now_ns ();
+      Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
+      let text, bytes =
+        if Faults.fire t.faults Faults.Garbage_line then
+          let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
+          (g, String.length g)
+        else (l.Linebuf.text, l.Linebuf.bytes)
+      in
+      let reply =
+        if bytes > Protocol.max_line_bytes then
+          [ Protocol.oversized_reply bytes ]
+        else t.exec text
+      in
+      if Protocol.is_quit text then c.close_after_flush <- true;
+      if Faults.fire t.faults Faults.Write_drop then
+        (* reply computed (and any charge journaled), zero bytes written:
+           the client must retry through a torn connection *)
+        close_conn t `Normal c
+      else if Faults.fire t.faults Faults.Conn_reset then begin
+        (* first line only, no terminator: a torn frame mid-reply *)
+        match reply with
+        | first :: _ ->
+            queue_frame ~terminated:false c ~deadline [ first ];
+            c.close_after_flush <- true
+        | [] -> close_conn t `Normal c
+      end
+      else queue_frame c ~deadline reply
+
+let runnable_jobs t =
+  List.filter_map
+    (fun c -> if runnable c then Some (fun () -> exec_request t c) else None)
+    t.conns
+
+(* Requests that arrived while a batch was forming: a zero-timeout poll
+   reads every ready conn, and each conn not yet served this turn
+   starts its head request. *)
+let late_arrivals t () =
+  let fds =
+    List.filter_map (fun c -> if reading t c then Some c.fd else None) t.conns
+  in
+  (match Unix.select fds [] [] 0. with
+  | r, _, _ ->
+      List.iter (fun c -> if List.mem c.fd r then read_phase t c) t.conns
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  runnable_jobs t
+
+(* Start the head request of every runnable conn — at most one per conn
+   per loop turn (round-robin fairness) — as one group commit: a
+   request that reaches a durable journal append parks there, requests
+   that arrived meanwhile join, one fsync per log covers every parked
+   frame, and the parked requests then resume in the order they
+   parked. A reply is queued only when its request has finished, so
+   none leaves before the fsync that covers its frames. *)
+let exec_phase t =
+  Wal.group ~trace:t.trace ~more:(late_arrivals t) (runnable_jobs t)
 
 let write_phase t c =
   if c.closed || not (has_output c) then ()
@@ -429,7 +466,7 @@ let run t =
         | Some l when List.mem l r -> accept_phase t l
         | _ -> ());
         List.iter (fun c -> if List.mem c.fd r then read_phase t c) t.conns;
-        List.iter (fun c -> exec_phase t c) t.conns;
+        exec_phase t;
         (* opportunistic: try every pending reply, not just the fds
            select confirmed — EAGAIN is handled, and replies queued this
            turn would otherwise wait a full loop *)

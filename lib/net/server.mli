@@ -35,6 +35,12 @@
     - {b Backpressure}: a connection whose queued lines plus unflushed
       reply reach [max_inflight] is not read until they drain,
       so a peer that pipelines without reading holds bounded memory.
+    - {b Group commit}: each loop turn runs the head request of every
+      ready connection (at most one per connection, so replies keep
+      request order) as one {!Dp_engine.Wal.group}: requests parked at
+      a durable journal append, plus any that arrive meanwhile, share
+      one fsync, and a reply is queued only once its request has
+      finished — never before the fsync that covers its charge.
     - {b Graceful drain}: {!request_stop} (called from SIGTERM/SIGINT
       handlers) makes {!run} stop accepting and reading, finish every
       queued request, flush every reply, close all connections, and

@@ -135,6 +135,7 @@ let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
 let dropped_tags t = t.dropped_tags
 let capacity t = t.capacity
 let current_depth t = t.depth
+let set_depth t d = t.depth <- max 0 d
 
 let reset t =
   Array.fill t.ring 0 t.capacity None;

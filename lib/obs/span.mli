@@ -53,4 +53,10 @@ val dropped : t -> int
 val dropped_tags : t -> int
 val capacity : t -> int
 val current_depth : t -> int
+
+val set_depth : t -> int -> unit
+(** Restore the nesting depth a suspended request had (see
+    [Dp_engine.Wal.group]): requests that interleave keep their own
+    depth. *)
+
 val reset : t -> unit

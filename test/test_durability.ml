@@ -77,7 +77,9 @@ let sample_records =
         mechanism = Planner.Laplace;
         requested = Privacy.approx ~epsilon:0.2 ~delta:0.;
       };
-    Journal.Withheld { dataset = "demo"; reason = "rng" };
+    Journal.Withheld { dataset = "demo"; reason = "rng"; frames = [] };
+    Journal.Withheld
+      { dataset = "demo"; reason = "journal"; frames = [ 1; 2 ] };
   ]
 
 let roundtrip () =
@@ -197,8 +199,11 @@ let golden_frames =
       "0000004b5c28154d4b343b64656d6f31363b686973746f6772616d28\
        6167652c32296c3078312e39393939393939393939393961702d333b\
        307830702b303b76323b3078312e38702b303b2d307831702d323b" );
-    ( Journal.Withheld { dataset = "demo"; reason = "rng" },
+    ( Journal.Withheld { dataset = "demo"; reason = "rng"; frames = [] },
       "0000000c196f042157343b64656d6f333b726e67" );
+    ( Journal.Withheld
+        { dataset = "demo"; reason = "journal"; frames = [ 3; 12 ] },
+      "000000175c5107484d343b64656d6f373b6a6f75726e616c323b333b31323b" );
     ( Journal.Train
         {
           dataset = "demo";
@@ -959,6 +964,244 @@ let prop_replay_spent =
           Engine.close r2;
           outcome))
 
+(* --- loss-safe frames and group commit --- *)
+
+let journal_fsyncs eng =
+  Dp_obs.Metrics.count
+    (Dp_obs.Metrics.global (Engine.metrics eng))
+    Dp_obs.Name.Journal_fsyncs
+
+(* A journal that already holds [demo] (and, with [stream], one open
+   stream), written by a fault-free engine: a second engine can then
+   serve it under a fault plan that would refuse the registration. *)
+let seeded_journal ?(stream = false) ?(appends = 0) path =
+  let eng = fresh () in
+  let _ = ok (Engine.open_journal eng path) in
+  let _ =
+    ok
+      (Engine.register_synthetic eng ~name:"demo" ~rows:200
+         ~policy:(policy ()))
+  in
+  if stream then begin
+    let _ =
+      ok_r "stream open"
+        (Engine.stream_open eng ~dataset:"demo"
+           { Dp_stream.Stream.epsilon = 0.1; horizon = 64; window = 0 })
+    in
+    for _ = 1 to appends do
+      ignore (ok_r "append" (Engine.append eng "demo/s1" 1))
+    done
+  end;
+  Engine.close eng
+
+let cache_insert_rides_next_sync () =
+  with_journal (fun path ->
+      let live = fresh () in
+      let _ = ok (Engine.open_journal live path) in
+      let _ =
+        ok (Engine.register_synthetic live ~name:"demo" ~rows:200
+              ~policy:(policy ()))
+      in
+      let before = journal_fsyncs live in
+      let first = ok_r "count" (Engine.submit_text live ~dataset:"demo" "count") in
+      Alcotest.(check int) "a fresh count pays one fsync, for its charge"
+        (before + 1) (journal_fsyncs live);
+      Engine.close live;
+      Alcotest.(check int) "close syncs the unsynced cache frame"
+        (before + 2) (journal_fsyncs live);
+      let recovered = fresh () in
+      let _ = ok (Engine.open_journal recovered path) in
+      let again =
+        ok_r "count" (Engine.submit_text recovered ~dataset:"demo" "count")
+      in
+      Alcotest.(check bool) "repeat after restart is a cache hit" true
+        again.Engine.cache_hit;
+      Alcotest.(check bool) "bit-identical answer" true
+        (first.Engine.answer = again.Engine.answer);
+      Engine.close recovered)
+
+(* The reproduction of a refused append that used to replay: its frame
+   was written, its fsync failed, and the live tree never committed it.
+   The marker naming the frame makes recovery skip it. *)
+let refused_append_not_replayed () =
+  with_journal (fun path ->
+      seeded_journal ~stream:true ~appends:3 path;
+      let faults = ok (Faults.parse "journal-fsync=always") in
+      let live = fresh ~faults () in
+      let _ = ok (Engine.open_journal live path) in
+      for _ = 1 to 2 do
+        match Engine.append live "demo/s1" 1 with
+        | Error (Engine.Transient _) -> ()
+        | Ok _ -> Alcotest.fail "an append was accepted without a durable frame"
+        | Error e ->
+            Alcotest.failf "expected transient, got %s"
+              (Format.asprintf "%a" Engine.pp_error e)
+      done;
+      let live_r = ok_r "read" (Engine.stream_read live "demo/s1") in
+      Alcotest.(check int) "live stream stays at t=3" 3 live_r.Engine.t_now;
+      Engine.close live;
+      let recovered = fresh () in
+      let _ = ok (Engine.open_journal recovered path) in
+      let back = ok_r "read" (Engine.stream_read recovered "demo/s1") in
+      Alcotest.(check int) "recovered t_now equals live" live_r.Engine.t_now
+        back.Engine.t_now;
+      Alcotest.(check (float 0.)) "recovered read equals live"
+        live_r.Engine.count back.Engine.count;
+      let next = ok_r "append" (Engine.append recovered "demo/s1" 0) in
+      Alcotest.(check int) "the stream goes on from t=3" 4 next.Engine.t_now;
+      Engine.close recovered)
+
+let verdicts eng =
+  List.map
+    (fun (rc : Audit_log.record) ->
+      match rc.Audit_log.verdict with
+      | Audit_log.Answered -> "answered"
+      | Audit_log.Charged_unreleased r -> "withheld:" ^ r
+      | Audit_log.Rejected r -> "rejected:" ^ r)
+    (Engine.records eng ~dataset:"demo")
+
+(* Two charges parked in one group commit share one fsync. When it
+   fails, both are withheld, and each marker names its own charge: a
+   marker paired with the frame right before it would make recovery
+   count the first charge as answered. *)
+let failed_batch_sync_withholds_all () =
+  with_journal (fun path ->
+      seeded_journal path;
+      let faults = ok (Faults.parse "journal-fsync=always") in
+      let live = fresh ~faults () in
+      let _ = ok (Engine.open_journal live path) in
+      let results = Array.make 2 None in
+      Wal.group
+        (List.mapi
+           (fun i expr () ->
+             results.(i) <- Some (Engine.submit_text live ~dataset:"demo" expr))
+           [ "count"; "sum(age)" ]);
+      Array.iter
+        (function
+          | Some (Error (Engine.Transient _)) -> ()
+          | Some (Ok _) ->
+              Alcotest.fail "an answer left without a durable charge"
+          | _ -> Alcotest.fail "expected a transient refusal")
+        results;
+      let live_r = ok_r "report" (Engine.report live ~dataset:"demo") in
+      Alcotest.(check int) "live answered" 0 live_r.Engine.answered;
+      Alcotest.(check int) "live rejected" 2 live_r.Engine.rejected;
+      let live_verdicts = verdicts live in
+      Engine.close live;
+      let recovered = fresh () in
+      let r = ok (Engine.open_journal recovered path) in
+      Alcotest.(check bool) "recovery verified" true r.Engine.verified;
+      Alcotest.(check int) "both charges replayed" 2 r.Engine.charges;
+      let rep = ok_r "report" (Engine.report recovered ~dataset:"demo") in
+      Alcotest.(check int) "recovered answered matches live"
+        live_r.Engine.answered rep.Engine.answered;
+      Alcotest.(check int) "recovered rejected matches live"
+        live_r.Engine.rejected rep.Engine.rejected;
+      Alcotest.(check (float 0.)) "withheld charges still spent"
+        live_r.Engine.spent.Privacy.epsilon rep.Engine.spent.Privacy.epsilon;
+      Alcotest.(check (list string)) "audit verdicts match live" live_verdicts
+        (verdicts recovered);
+      Engine.close recovered)
+
+(* In one group commit: distinct fresh queries share one fsync; a repeat
+   of a parked query waits and hits the cache; two appends to one
+   stream run one after the other. *)
+let group_commit_batches () =
+  with_journal (fun path ->
+      seeded_journal ~stream:true path;
+      let live = fresh () in
+      let _ = ok (Engine.open_journal live path) in
+      let before = journal_fsyncs live in
+      let replies = ref [] in
+      let query expr () =
+        (* bind first: the submit parks, and the other jobs push meanwhile *)
+        let r = Engine.submit_text live ~dataset:"demo" expr in
+        replies := (expr, r) :: !replies
+      in
+      Wal.group
+        [ query "count"; query "sum(age)"; query "count"; query "mean(income)" ];
+      (* without OCaml 5 effects nothing parks: one fsync per charge *)
+      let effects = Scanf.sscanf Sys.ocaml_version "%d." Fun.id >= 5 in
+      Alcotest.(check int) "one fsync for three charges"
+        (before + if effects then 1 else 3)
+        (journal_fsyncs live);
+      let hits =
+        List.filter
+          (function
+            | _, Ok (r : Engine.response) -> r.Engine.cache_hit
+            | _, Error _ -> Alcotest.fail "a batched query failed")
+          !replies
+      in
+      (match hits with
+      | [ ("count", _) ] -> ()
+      | _ -> Alcotest.fail "the repeated count must be the one cache hit");
+      let spent_q = spent live ~dataset:"demo" in
+      let ts = ref [] in
+      let app () =
+        match Engine.append live "demo/s1" 1 with
+        | Ok a ->
+            let t = a.Engine.t_now in
+            ts := t :: !ts
+        | Error e ->
+            Alcotest.failf "append: %s" (Format.asprintf "%a" Engine.pp_error e)
+      in
+      Wal.group [ app; app; app ];
+      Alcotest.(check (list int)) "appends to one stream serialize" [ 1; 2; 3 ]
+        (List.sort compare !ts);
+      Alcotest.(check int) "stream at t=3" 3
+        (ok_r "read" (Engine.stream_read live "demo/s1")).Engine.t_now;
+      Engine.close live;
+      let recovered = fresh () in
+      let _ = ok (Engine.open_journal recovered path) in
+      Alcotest.(check (float 0.)) "recovered spend equals live"
+        spent_q.Privacy.epsilon
+        (spent recovered ~dataset:"demo").Privacy.epsilon;
+      Alcotest.(check int) "recovered stream at t=3" 3
+        (ok_r "read" (Engine.stream_read recovered "demo/s1")).Engine.t_now;
+      Engine.close recovered)
+
+(* Handle numbers and dataset names are claimed once per batch: two
+   stream opens in one group commit get two handles, and a second
+   registration of a parked name is refused, as run one after the
+   other. *)
+let group_commit_unique_names () =
+  with_journal (fun path ->
+      seeded_journal path;
+      let live = fresh () in
+      let _ = ok (Engine.open_journal live path) in
+      let handles = ref [] and registered = ref [] in
+      let open_stream () =
+        match
+          Engine.stream_open live ~dataset:"demo"
+            { Dp_stream.Stream.epsilon = 0.1; horizon = 64; window = 0 }
+        with
+        | Ok o ->
+            let h = o.Engine.stream.Dp_stream.Stream_store.handle in
+            handles := h :: !handles
+        | Error e ->
+            Alcotest.failf "open: %s" (Format.asprintf "%a" Engine.pp_error e)
+      in
+      let register () =
+        let r =
+          Engine.register_synthetic live ~name:"other" ~rows:50
+            ~policy:(policy ())
+        in
+        registered := Result.is_ok r :: !registered
+      in
+      Wal.group [ open_stream; register; open_stream; register ];
+      Alcotest.(check (list string))
+        "two distinct handles" [ "demo/s1"; "demo/s2" ]
+        (List.sort compare !handles);
+      Alcotest.(check (list bool)) "one registration wins" [ false; true ]
+        (List.sort compare !registered);
+      Engine.close live;
+      let recovered = fresh () in
+      let r = ok (Engine.open_journal recovered path) in
+      Alcotest.(check int) "both streams recovered" 2
+        r.Engine.streams_recovered;
+      Alcotest.(check int) "both datasets recovered" 2 r.Engine.datasets;
+      Engine.close recovered)
+
 let () =
   Alcotest.run "dp_durability"
     [
@@ -985,6 +1228,19 @@ let () =
             withheld_outcome_recovered;
           Alcotest.test_case "metrics snapshot recovered" `Quick
             metrics_snapshot_recovered;
+          Alcotest.test_case "refused appends do not replay" `Quick
+            refused_append_not_replayed;
+        ] );
+      ( "group sync",
+        [
+          Alcotest.test_case "cache frame rides the next sync" `Quick
+            cache_insert_rides_next_sync;
+          Alcotest.test_case "failed batch sync withholds all" `Quick
+            failed_batch_sync_withholds_all;
+          Alcotest.test_case "one sync per batch, shared state waits" `Quick
+            group_commit_batches;
+          Alcotest.test_case "handles and names stay unique" `Quick
+            group_commit_unique_names;
         ] );
       ( "faults",
         [

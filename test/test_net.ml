@@ -871,6 +871,247 @@ let client_retries_through_restart () =
       Unix.close fd)
 
 (* ------------------------------------------------------------------ *)
+(* Group commit. A journaled server runs the head requests of all ready
+   connections as one batch with one fsync; what the connections see
+   must equal a sequential execution of the same lines. *)
+
+(* N=1 with a journal, which group commit needs. [seed] lines run
+   first, through a fault-free engine on the same journal, so a faulty
+   server can start from a registered dataset. *)
+let journaled ?(faults = Faults.none) ?(seed = []) () =
+  let launch config =
+    let dir = Filename.temp_file "dpkit_gc" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o700;
+    let journal = Filename.concat dir "j" in
+    if seed <> [] then begin
+      let e = Engine.create ~seed:11 () in
+      ignore (ok (Engine.open_journal e journal));
+      List.iter (fun l -> expect_ok l (Protocol.exec e l)) seed;
+      Engine.close e
+    end;
+    let eng = Engine.create ~seed:11 ~faults () in
+    ignore (ok (Engine.open_journal eng journal));
+    let srv = ok (Server.create ~config eng) in
+    let th = Thread.create Server.run srv in
+    let stopped = ref false in
+    {
+      port = Server.port srv;
+      inproc = Some (eng, srv);
+      stop =
+        (fun () ->
+          if not !stopped then begin
+            stopped := true;
+            Server.request_stop srv;
+            Thread.join th;
+            Engine.close eng;
+            rm_rf dir
+          end);
+    }
+  in
+  { n = 1; launch }
+
+(* The value of [key=] in a reply line. *)
+let field key line =
+  List.find_map
+    (fun tok ->
+      let p = key ^ "=" in
+      if String.starts_with ~prefix:p tok then
+        let n = String.length p in
+        Some (String.sub tok n (String.length tok - n))
+      else None)
+    (String.split_on_char ' ' line)
+
+(* Send every connection's lines at once, pipelined, then read each
+   reply's first line; the server runs one line per connection per
+   turn, so the connections' i-th lines tend to share a batch. *)
+let send_all conns =
+  List.iter
+    (fun (fd, _, lines) ->
+      send fd (String.concat "" (List.map (fun l -> l ^ "\n") lines)))
+    conns
+
+let pipelined port per_conn =
+  let conns = List.map (fun ls -> (connect port, reader (), ls)) per_conn in
+  send_all conns;
+  let replies =
+    List.map
+      (fun (fd, lb, lines) ->
+        List.map
+          (fun line ->
+            match frame fd lb with
+            | first :: _ -> (line, first)
+            | [] -> (line, ""))
+          lines)
+      conns
+  in
+  List.iter (fun (fd, _, _) -> Unix.close fd) conns;
+  replies
+
+let setup = "register demo rows=200 eps=1000 default-eps=0.01"
+
+(* appends shed at the global bound, not a lower one: every pipelined
+   line here must execute *)
+let batch_config = { default_test_config with max_append_inflight = 128 }
+
+let same_query_one_miss () =
+  let l = journaled ~seed:[ setup ] () in
+  with_launched ~config:batch_config l (fun s ->
+      let keys =
+        List.init 30 (fun i -> Printf.sprintf "query demo count(age>%d)" (20 + i))
+      in
+      let replies = List.concat (pipelined s.port [ keys; keys ]) in
+      List.iter
+        (fun key ->
+          let flags =
+            List.filter_map
+              (fun (line, reply) ->
+                if line <> key then None
+                else if not (String.starts_with ~prefix:"ok seq=" reply) then
+                  Alcotest.failf "%s: %s" line reply
+                else field "cache" reply)
+              replies
+          in
+          Alcotest.(check (list string)) (key ^ ": one miss, one hit")
+            [ "hit"; "miss" ] (List.sort compare flags))
+        keys;
+      match request s.port "report demo" with
+      | _ :: body ->
+          Alcotest.(check bool) "each key charged once" true
+            (List.exists
+               (fun l -> field "eps-spent" (String.trim l) = Some "0.3")
+               body)
+      | [] -> Alcotest.fail "no report")
+
+let one_stream_two_conns () =
+  let l = journaled ~seed:[ setup; "stream new demo eps=0.1 N=1024" ] () in
+  with_launched ~config:batch_config l (fun s ->
+      let k = 40 in
+      let appends =
+        List.init k (fun i -> Printf.sprintf "append demo/s1 %d" (i mod 2))
+      in
+      let ts =
+        List.concat (pipelined s.port [ appends; appends ])
+        |> List.map (fun (_, reply) ->
+               match field "t" reply with
+               | Some t when String.starts_with ~prefix:"ok append" reply ->
+                   int_of_string t
+               | _ -> Alcotest.failf "append refused: %s" reply)
+      in
+      Alcotest.(check (list int)) "t = 1..2k" (List.init (2 * k) succ)
+        (List.sort compare ts))
+
+(* The verdict, cache flag and ledger total of each line, whatever the
+   interleaving: a sequential [Protocol.exec] of the same lines on a
+   fresh engine must give the same multiset. *)
+let parity_with_sequential () =
+  let shared =
+    List.init 12 (fun i -> Printf.sprintf "query demo count(score>%d)" (i * 5))
+  in
+  let a =
+    shared
+    @ [ "query demo sum(age)"; "query demo count(score>0)"; "append demo/s1 1";
+        "register demo rows=10 eps=1"; "query demo mean(income) eps=0.02";
+        "append demo/s1 0"; "query demo nosuch(col)" ]
+  in
+  let b =
+    List.rev shared
+    @ [ "append demo/s2 1"; "query demo sum(age)";
+        "query demo histogram(age,4)"; "append demo/s2 1";
+        "stream read demo/s1"; "query demo count(score>5)" ]
+  in
+  let opened = "stream new demo eps=0.1 N=64" in
+  let seed = [ setup; opened; opened ] in
+  let shape (line, reply) =
+    let verdict =
+      match String.split_on_char ' ' reply with
+      | "ok" :: kind :: _ when String.starts_with ~prefix:"seq=" kind ->
+          "ok query"
+      | "ok" :: kind :: _ -> "ok " ^ kind
+      | "err" :: code :: _ -> "err " ^ code
+      | _ -> reply
+    in
+    Printf.sprintf "%s -> %s cache=%s" line verdict
+      (Option.value ~default:"-" (field "cache" reply))
+  in
+  let spent report =
+    List.find_map (fun l -> field "eps-spent" (String.trim l)) report
+  in
+  let concurrent, live_spent =
+    with_launched ~config:batch_config (journaled ~seed ()) (fun s ->
+        let replies = List.concat (pipelined s.port [ a; b ]) in
+        ( List.sort compare (List.map shape replies),
+          spent (request s.port "report demo") ))
+  in
+  let eng = Engine.create ~seed:11 () in
+  List.iter (fun l -> ignore (Protocol.exec eng l)) seed;
+  let sequential =
+    List.map (fun l -> shape (l, List.hd (Protocol.exec eng l))) (a @ b)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string))
+    "verdicts and cache flags" sequential concurrent;
+  Alcotest.(check (option string)) "ledger total"
+    (spent (Protocol.exec eng "report demo")) live_spent
+
+(* A client that sends its line and then half-closes still gets its
+   reply: the server reads the EOF while the fresh query is parked in
+   the batch, and must not close the connection under it. *)
+let half_close_gets_reply () =
+  let l = journaled ~seed:[ setup ] () in
+  with_launched l (fun s ->
+      for i = 1 to 5 do
+        let fd = connect s.port in
+        send fd (Printf.sprintf "query demo count(age>%d)\n" (60 + i));
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        (match read_frame fd (reader ()) with
+        | `Frame (first :: _) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "half-closed query %d answered" i)
+              true
+              (String.starts_with ~prefix:"ok seq=" first)
+        | `Frame [] | `Eof | `Timeout ->
+            Alcotest.failf "half-closed query %d got no reply" i);
+        Unix.close fd
+      done)
+
+(* With every fsync failing, no reply may carry an answer: each fresh
+   release is withheld, each append and registration refused, and each
+   of these gets its typed [err] reply. *)
+let no_answer_without_fsync l () =
+  let lines =
+    [ "query demo count"; "query demo sum(age)"; "append demo/s1 1";
+      "stream new demo eps=0.1 N=64"; "register other rows=10 eps=1";
+      "query demo mean(income)" ]
+  in
+  with_launched ~config:batch_config l (fun s ->
+      let conns =
+        List.map
+          (fun ls -> (connect s.port, reader (), ls))
+          [ setup :: lines; lines ]
+      in
+      send_all conns;
+      List.iter
+        (fun (fd, lb, ls) ->
+          let rec go = function
+            | [] -> ()
+            | line :: rest -> (
+                match read_frame fd lb with
+                | `Frame (first :: _)
+                  when String.starts_with ~prefix:"err " first ->
+                    go rest
+                | `Frame r ->
+                    Alcotest.failf "%s without a durable frame: %s" line
+                      (String.concat "|" r)
+                | `Eof | `Timeout -> Alcotest.failf "%s got no reply" line)
+          in
+          go ls;
+          Unix.close fd)
+        conns)
+
+let fsync_always () = ok (Faults.parse "journal-fsync=always")
+
+(* ------------------------------------------------------------------ *)
 
 (* One case per launcher; the N=1 case keeps the bare name. *)
 let per_launcher tests =
@@ -929,6 +1170,21 @@ let () =
             ("flushes in-flight", drain_flushes_inflight);
             ("refuses new conns", drain_refuses_new_conns);
           ] );
+      ( "group commit",
+        [
+          Alcotest.test_case "same query on two conns misses once" `Quick
+            same_query_one_miss;
+          Alcotest.test_case "two conns append to one stream" `Quick
+            one_stream_two_conns;
+          Alcotest.test_case "parity with sequential exec" `Quick
+            parity_with_sequential;
+          Alcotest.test_case "no answer without fsync" `Quick
+            (no_answer_without_fsync
+               (journaled ~faults:(fsync_always ())
+                  ~seed:[ setup; "stream new demo eps=0.1 N=64" ] ()));
+          Alcotest.test_case "half-close still gets its reply" `Quick
+            half_close_gets_reply;
+        ] );
       ( "differential",
         [ Alcotest.test_case "framing N=1 vs N=2" `Quick framing_parity ] );
       ( "client",
