@@ -599,7 +599,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Check the source tree against the privacy-invariant rules (R1, \
-          R3..R7, R9 as token checks; charge- and gate-before-release as \
+          R3..R7 as token checks; charge- and gate-before-release as \
           flow's path-sensitive F2, minus DIR/flow.baseline); exit 1 on \
           any finding.")
     Term.(ret (const run $ dir_arg $ format_arg $ exempt_arg $ rules_arg))

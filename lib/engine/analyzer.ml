@@ -7,79 +7,6 @@ let ( let* ) = Result.bind
 
 let at_line n = Result.map_error (Printf.sprintf "line %d: %s" n)
 
-(* Protocol.parse_opts errors are protocol reply lines; strip the
-   wire-format prefix so file diagnostics read naturally. *)
-let opts ~known tokens =
-  Result.map_error
-    (fun msg ->
-      let prefix = "err bad-argument " in
-      if String.length msg > String.length prefix
-         && String.sub msg 0 (String.length prefix) = prefix
-      then String.sub msg (String.length prefix)
-             (String.length msg - String.length prefix)
-      else msg)
-    (Protocol.parse_opts ~known tokens)
-
-let find_opt key kvs =
-  List.find_map (fun (k, v) -> if k = key then v else None) kvs
-
-let has_flag key kvs = List.exists (fun (k, v) -> k = key && v = None) kvs
-
-let float_opt key ~default kvs =
-  match find_opt key kvs with
-  | None -> Ok default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Ok x
-      | _ -> Error (Printf.sprintf "bad number %s=%s" key s))
-
-let int_opt key ~default kvs =
-  match find_opt key kvs with
-  | None -> Ok default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad integer %s=%s" key s))
-
-let dataset_keys =
-  [
-    "rows"; "eps"; "delta"; "default-eps"; "analyst-eps"; "universe"; "slack";
-    "backend"; "no-cache"; "low-water";
-  ]
-
-(* Mirrors Protocol.register_lines: a schema's [dataset] line accepts
-   exactly the options of a live `register` command, so a schema file
-   prices the same service the server would run. *)
-let policy_of_opts kvs =
-  let* eps = float_opt "eps" ~default:1.0 kvs in
-  let* delta = float_opt "delta" ~default:0. kvs in
-  let* default_eps = float_opt "default-eps" ~default:0.1 kvs in
-  let* analyst_eps = float_opt "analyst-eps" ~default:0. kvs in
-  let* universe = int_opt "universe" ~default:64 kvs in
-  let* slack = float_opt "slack" ~default:1e-6 kvs in
-  let* low_water = float_opt "low-water" ~default:0. kvs in
-  let* backend =
-    match find_opt "backend" kvs with
-    | None | Some "basic" -> Ok Ledger.Basic
-    | Some "advanced" -> Ok (Ledger.Advanced { slack })
-    | Some "rdp" ->
-        Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
-    | Some other -> Error (Printf.sprintf "bad backend=%s" other)
-  in
-  if eps <= 0. then Error "eps must be positive"
-  else if low_water < 0. then Error "low-water must be >= 0"
-  else
-    Ok
-      {
-        Registry.total = Privacy.approx ~epsilon:eps ~delta;
-        backend;
-        default_epsilon = default_eps;
-        analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
-        universe;
-        cache = not (has_flag "no-cache" kvs);
-        low_water;
-      }
-
 let content_lines text =
   (* (line number, tokens), comments and blanks dropped *)
   String.split_on_char '\n' text
@@ -109,25 +36,21 @@ let parse_schema text =
               Error (Printf.sprintf "line %d: duplicate dataset line" n)
             else
               let* rows, policy =
-                at_line n
-                  (let* kvs = opts ~known:dataset_keys kv_toks in
-                   let* rows = int_opt "rows" ~default:1000 kvs in
-                   if rows <= 0 then Error "rows must be positive"
-                   else
-                     let* policy = policy_of_opts kvs in
-                     Ok (rows, policy))
+                at_line n (Registry.of_register_options kv_toks)
               in
               go (Some (name, rows, policy)) cols rest
         | "column" :: name :: kv_toks ->
             let* c =
               at_line n
-                (let* kvs = opts ~known:[ "lo"; "hi" ] kv_toks in
-                 let* lo = float_opt "lo" ~default:nan kvs in
-                 let* hi = float_opt "hi" ~default:nan kvs in
-                 if Float.is_nan lo || Float.is_nan hi then
-                   Error
-                     (Printf.sprintf "column %s needs lo= and hi= bounds" name)
-                 else Ok { Registry.col = name; lo; hi })
+                (let* kvs = Opts.parse ~known:[ "lo"; "hi" ] kv_toks in
+                 let* lo = Opts.float_opt "lo" kvs in
+                 let* hi = Opts.float_opt "hi" kvs in
+                 match (lo, hi) with
+                 | Some lo, Some hi -> Ok { Registry.col = name; lo; hi }
+                 | _ ->
+                     Error
+                       (Printf.sprintf "column %s needs lo= and hi= bounds"
+                          name))
             in
             go header (c :: cols) rest
         | w :: _ ->
@@ -151,13 +74,13 @@ let parse_workload text =
            values are validated in [simulate], where the schema's
            default ε is known *)
         at_line n
-          (let* kvs = opts ~known:Dp_train.Train.keys opt_toks in
+          (let* kvs = Opts.parse ~known:Dp_train.Train.keys opt_toks in
            Ok
              (Train
                 { text = String.concat " " ("train" :: opt_toks); train_opts = kvs }))
     | "stream" :: opt_toks ->
         at_line n
-          (let* kvs = opts ~known:Dp_stream.Stream.keys opt_toks in
+          (let* kvs = Opts.parse ~known:Dp_stream.Stream.keys opt_toks in
            Ok
              (Stream
                 {
@@ -166,15 +89,8 @@ let parse_workload text =
                 }))
     | expr :: opt_toks ->
         at_line n
-          (let* kvs = opts ~known:[ "eps" ] opt_toks in
-           let* eps =
-             match find_opt "eps" kvs with
-             | None -> Ok None
-             | Some s -> (
-                 match float_of_string_opt s with
-                 | Some x when Float.is_finite x -> Ok (Some x)
-                 | _ -> Error (Printf.sprintf "bad number eps=%s" s))
-           in
+          (let* kvs = Opts.parse ~known:[ "eps" ] opt_toks in
+           let* eps = Opts.float_opt "eps" kvs in
            let* query = Query.parse expr in
            Ok (Stat { text = expr; query; epsilon = eps }))
   in
@@ -217,129 +133,68 @@ type report = {
   pass : bool;
 }
 
-(* Simulate a live serving run under [backend]: plan each query
-   statically and push its charge through a real ledger — the exact
-   spend/commit code the engine runs — so the totals (and the
-   accept/reject pattern) are bit-identical to an execution. *)
+(* The request an item asks for, with the schema's default ε filled in
+   as the live server fills in the dataset's. *)
+let request (s : Registry.schema) item =
+  let default_epsilon = s.policy.default_epsilon in
+  match item with
+  | Stat { query; epsilon; _ } ->
+      Ok
+        (Planner.Any
+           (Planner.Query
+              (query, Option.value epsilon ~default:default_epsilon)))
+  | Train { train_opts; _ } ->
+      Result.map
+        (fun p -> Planner.Any (Planner.Train p))
+        (Dp_train.Train.params_of_opts ~default_epsilon train_opts)
+  | Stream { stream_opts; _ } ->
+      Result.map
+        (fun p -> Planner.Any (Planner.Stream p))
+        (Dp_stream.Stream.params_of_opts ~default_epsilon stream_opts)
+
+let item_text = function
+  | Stat { text; _ } | Train { text; _ } | Stream { text; _ } -> text
+
+(* Simulate a live serving run under [backend]: price each request with
+   the engine's own [Planner.price] and push its charge through a real
+   ledger, so the totals (and the accept/reject pattern) are
+   bit-identical to an execution. *)
 let simulate (s : Registry.schema) ~backend items =
   let s = { s with Registry.policy = { s.policy with backend } } in
   let ledger = Ledger.create ~total:s.policy.total ~backend () in
-  (* one code path charges both query kinds: spend through the same
-     ledger the live engine uses, then difference the composed spend *)
-  let charge_row ~index ~query ~mechanism ~sensitivity ~epsilon
-      (charge : Ledger.charge) =
+  let row index item =
+    let* (Planner.Any req) = request s item in
+    let* p = Planner.price s req in
     let before = Ledger.spent ledger in
-    let accepted =
-      match Ledger.spend ledger charge with Ok () -> true | Error _ -> false
-    in
+    let accepted = Result.is_ok (Ledger.spend ledger p.charge) in
     let after = Ledger.spent ledger in
-    {
-      index;
-      query;
-      mechanism;
-      sensitivity;
-      epsilon;
-      face = charge.Ledger.budget;
-      marginal =
-        {
-          Privacy.epsilon =
-            Float.max 0. (after.Privacy.epsilon -. before.Privacy.epsilon);
-          delta = Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
-        };
-      accepted;
-    }
+    Ok
+      {
+        index;
+        query = p.text;
+        mechanism = p.mechanism_name;
+        sensitivity = p.sensitivity;
+        epsilon = p.epsilon;
+        face = p.charge.Ledger.budget;
+        marginal =
+          {
+            Privacy.epsilon =
+              Float.max 0. (after.Privacy.epsilon -. before.Privacy.epsilon);
+            delta = Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
+          };
+        accepted;
+      }
   in
-  let rows =
-    List.mapi
-      (fun i (it : item) ->
-        match it with
-        | Stat { text; query; epsilon } -> (
-            let eps =
-              match epsilon with
-              | Some e -> e
-              | None -> s.policy.default_epsilon
-            in
-            match Planner.spec s ~epsilon:eps query with
-            | Error msg ->
-                Error (Printf.sprintf "query %d (%s): %s" (i + 1) text msg)
-            | Ok sp ->
-                Ok
-                  (charge_row ~index:(i + 1) ~query:(Query.normalize query)
-                     ~mechanism:(Planner.mechanism_name sp.Planner.mechanism)
-                     ~sensitivity:sp.Planner.sensitivity ~epsilon:eps
-                     sp.Planner.charge))
-        | Train { text; train_opts } -> (
-            (* the exact static half the live engine trains on:
-               Dp_train.Train.spec prices from rows and column names
-               alone, and the charge below is the same
-               {budget = spec.face; rdp = None} the engine spends —
-               bit-identical by construction *)
-            match
-              Dp_train.Train.params_of_opts
-                ~default_epsilon:s.policy.default_epsilon train_opts
-            with
-            | Error msg ->
-                Error (Printf.sprintf "query %d (%s): %s" (i + 1) text msg)
-            | Ok params -> (
-                let cols =
-                  Array.to_list
-                    (Array.map
-                       (fun (c : Registry.col_schema) -> c.Registry.col)
-                       s.Registry.cols)
-                in
-                match
-                  Dp_train.Train.spec ~rows:s.Registry.rows ~cols params
-                with
-                | Error msg ->
-                    Error (Printf.sprintf "query %d (%s): %s" (i + 1) text msg)
-                | Ok spec ->
-                    Ok
-                      (charge_row ~index:(i + 1)
-                         ~query:(Dp_train.Train.normalize params)
-                         ~mechanism:
-                           (Dp_train.Train.backend_name
-                              params.Dp_train.Train.backend)
-                         ~sensitivity:spec.Dp_train.Train.sensitivity
-                         ~epsilon:params.Dp_train.Train.epsilon
-                         { Ledger.budget = spec.Dp_train.Train.face; rdp = None })))
-        | Stream { text; stream_opts } -> (
-            (* a whole continual-observation stream priced as one line:
-               Dp_stream.Stream.spec is the same function the live
-               engine charges at [stream new], and the charge below is
-               the same {budget = spec.face; rdp = None} — so the
-               analyzer's total is float-bit-identical to serving the
-               stream end to end, appends and all (appends are
-               pre-paid) *)
-            match
-              Dp_stream.Stream.params_of_opts
-                ~default_epsilon:s.policy.default_epsilon stream_opts
-            with
-            | Error msg ->
-                Error (Printf.sprintf "query %d (%s): %s" (i + 1) text msg)
-            | Ok params -> (
-                match Dp_stream.Stream.spec params with
-                | Error msg ->
-                    Error (Printf.sprintf "query %d (%s): %s" (i + 1) text msg)
-                | Ok spec ->
-                    Ok
-                      (charge_row ~index:(i + 1)
-                         ~query:(Dp_stream.Stream.normalize params)
-                         ~mechanism:Dp_stream.Stream.mechanism_name
-                         ~sensitivity:spec.Dp_stream.Stream.sensitivity
-                         ~epsilon:params.Dp_stream.Stream.epsilon
-                         {
-                           Ledger.budget = spec.Dp_stream.Stream.face;
-                           rdp = None;
-                         }))))
-      items
+  let rec go acc index = function
+    | [] -> Ok (List.rev acc, Ledger.spent ledger, Ledger.remaining ledger)
+    | item :: rest -> (
+        match row index item with
+        | Error msg ->
+            Error
+              (Printf.sprintf "query %d (%s): %s" index (item_text item) msg)
+        | Ok r -> go (r :: acc) (index + 1) rest)
   in
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | Error msg :: _ -> Error msg
-    | Ok r :: rest -> collect (r :: acc) rest
-  in
-  let* rows = collect [] rows in
-  Ok (rows, Ledger.spent ledger, Ledger.remaining ledger)
+  go [] 1 items
 
 let analyze (s : Registry.schema) items =
   let slack =

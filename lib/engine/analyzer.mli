@@ -2,13 +2,13 @@
 
     Costs a query workload against a dataset {e schema} — name, row
     count, column bounds, privacy policy — with no access to column
-    data and no sampling. Each query is priced by {!Planner.spec} (the
-    same static half a live [plan] is built on) and pushed through a
-    real {!Ledger}, so per-query charges and composed totals are
-    bit-identical to what a live serving run of the same workload
-    would record: the analysis is the paper's static channel-capacity
-    bound (ε bounds leakage before any answer is computed), made
-    executable.
+    data and no sampling. Each item is priced by {!Planner.price}, the
+    function the live engine builds every fresh release from, and
+    pushed through a real {!Ledger}, so per-query charges and composed
+    totals are bit-identical to what a live serving run of the same
+    workload would record: the analysis is the paper's static
+    channel-capacity bound (ε bounds leakage before any answer is
+    computed), made executable.
 
     Totals are reported under all three composition backends (basic,
     advanced, RDP) so a workload author can see what switching the
@@ -25,8 +25,9 @@ val parse_schema : string -> (Registry.schema, string) result
                  [low-water=E] [no-cache]
     column NAME lo=L hi=H
     v}
-    The [dataset] options are exactly those of the serve protocol's
-    [register] command. Errors carry a [line N:] prefix. *)
+    The [dataset] options are read by {!Registry.of_register_options},
+    the grammar of the serve protocol's [register] command. Errors
+    carry a [line N:] prefix. *)
 
 type item =
   | Stat of {
@@ -36,13 +37,13 @@ type item =
     }
   | Train of {
       text : string;  (** the request line as written *)
-      train_opts : (string * string option) list;
+      train_opts : Opts.t;
           (** validated {!Dp_train.Train.keys} options; turned into
               params against the schema's default ε at analysis time *)
     }
   | Stream of {
       text : string;  (** the request line as written *)
-      stream_opts : (string * string option) list;
+      stream_opts : Opts.t;
           (** validated {!Dp_stream.Stream.keys} options; one line
               prices a whole continual-observation stream — the open's
               face charge covers every append and read *)
@@ -52,16 +53,14 @@ val parse_workload : string -> (item list, string) result
 (** Parse a workload file: one [QUERY \[eps=E\]],
     [train \[key=value...\]], or [stream \[key=value...\]] per line
     ([#] comments and blank lines ignored), query syntax as in
-    {!Query.parse}, train/stream options as in the serve protocol's
-    [train] / [stream new] commands (no analyst). *)
+    {!Query.parse}, options read by {!Opts} as in the serve protocol's
+    [query] / [train] / [stream new] commands (no analyst). *)
 
 type row = {
   index : int;  (** 1-based position in the workload *)
   query : string;
-      (** canonical form ({!Query.normalize} /
-          {!Dp_train.Train.normalize}) *)
-  mechanism : string;
-      (** {!Planner.mechanism_name} or {!Dp_train.Train.backend_name} *)
+      (** canonical form: the priced request's [text] *)
+  mechanism : string;  (** the priced request's [mechanism_name] *)
   sensitivity : float;
   epsilon : float;  (** face-value ε requested *)
   face : Privacy.budget;  (** the ledger charge's face value *)
@@ -91,8 +90,9 @@ type report = {
 }
 
 val analyze : Registry.schema -> item list -> (report, string) result
-(** Cost the workload. [Error] only for a query the planner itself
-    rejects (unknown column, bad ε) — a budget overdraft is not an
+(** Cost the workload. [Error] only for an item that cannot be priced
+    (unknown column or target, bad ε or option value, cited as
+    [query N (TEXT): ...]) — a budget overdraft is not an
     error, it is a [FAIL] verdict with the offending rows marked
     rejected. Analyst sub-budgets are not modeled (the workload file
     carries no analyst identity). *)

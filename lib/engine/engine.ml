@@ -385,6 +385,16 @@ type fresh = {
       (** ordinals of the frames it wrote: what a withheld marker names *)
 }
 
+let fresh_of ?analyst ~dataset (p : _ Planner.priced) =
+  {
+    analyst;
+    name = dataset;
+    query = p.Planner.text;
+    mech = p.Planner.mechanism_name;
+    charge = p.Planner.charge;
+    frames = [];
+  }
+
 let note (f : fresh) o = f.frames <- o :: f.frames
 
 let log_fresh t (f : fresh) ~charged verdict =
@@ -574,7 +584,8 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
           let p0 = Dp_obs.Clock.now_ns () in
           let planned =
             Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_plan (fun () ->
-                Planner.plan ds ~epsilon:eps query)
+                Planner.price (Registry.schema_of ds) (Planner.Query (query, eps))
+                |> Result.map (fun p -> (p, Planner.plan_of ds p.Planner.spec)))
           in
           Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Plan_ns
             (Dp_obs.Clock.elapsed_ns p0);
@@ -584,18 +595,9 @@ let submit_serving t (sv : serving) ?analyst ?epsilon ~dataset query =
                 (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
                    ~charged:zero ~verdict:(Audit_log.Rejected msg) ());
               Error (Bad_query msg)
-          | Ok plan -> (
-              let sp = plan.Planner.spec in
-              let f =
-                {
-                  analyst;
-                  name = dataset;
-                  query = norm;
-                  mech = Planner.mechanism_name sp.Planner.mechanism;
-                  charge = sp.Planner.charge;
-                  frames = [];
-                }
-              in
+          | Ok (priced, plan) -> (
+              let sp = priced.Planner.spec in
+              let f = fresh_of ?analyst ~dataset priced in
               match charge_fresh t sv f with
               | Error e -> Error e
               | Ok charged -> (
@@ -771,17 +773,15 @@ let train_journal_record (m : Model_store.model) =
 
 let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
   let ds = sv.dataset in
-  let norm = Train.normalize params in
+  let request = Planner.Train params in
+  let norm = Planner.text request in
   match refuse_fresh t sv ~analyst ~dataset ~query:norm with
   | Some e -> Error e
   | None -> (
-      let cols =
-        Array.to_list
-          (Array.map (fun (c : Registry.column) -> c.Registry.name) ds.columns)
-      in
-      match Train.spec ~rows:ds.Registry.rows ~cols params with
+      match Planner.price (Registry.schema_of ds) request with
       | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
-      | Ok spec -> (
+      | Ok priced -> (
+          let spec = priced.Planner.spec in
           let columns =
             Array.map
               (fun (c : Registry.column) ->
@@ -791,18 +791,8 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
           match Train.design ~columns ~target:params.Train.target with
           | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
           | Ok design -> (
-              let mech_name = Train.backend_name params.Train.backend in
               let face = spec.Train.face in
-              let f =
-                {
-                  analyst;
-                  name = dataset;
-                  query = norm;
-                  mech = mech_name;
-                  charge = { Ledger.budget = face; rdp = None };
-                  frames = [];
-                }
-              in
+              let f = fresh_of ?analyst ~dataset priced in
               (* the spend is durable before any chain touches the data *)
               match charge_fresh t sv f with
               | Error e -> Error e
@@ -832,7 +822,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                     {
                       Model_store.handle;
                       dataset;
-                      backend = mech_name;
+                      backend = priced.Planner.mechanism_name;
                       epsilon = params.Train.epsilon;
                       chains = params.Train.chains;
                       steps = params.Train.steps;
@@ -968,23 +958,16 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
   match Hashtbl.find_opt t.servings dataset with
   | None -> Error (Unknown_dataset dataset)
   | Some sv -> (
-      let norm = Stream.normalize params in
+      let request = Planner.Stream params in
+      let norm = Planner.text request in
       match refuse_fresh t sv ~analyst ~dataset ~query:norm with
       | Some e -> Error e
       | None -> (
-          match Stream.spec params with
+          match Planner.price (Registry.schema_of sv.dataset) request with
           | Error msg -> reject_bad t sv ?analyst ~dataset ~query:norm msg
-          | Ok spec -> (
-              let f =
-                {
-                  analyst;
-                  name = dataset;
-                  query = norm;
-                  mech = Stream.mechanism_name;
-                  charge = { Ledger.budget = spec.Stream.face; rdp = None };
-                  frames = [];
-                }
-              in
+          | Ok priced -> (
+              let spec = priced.Planner.spec in
+              let f = fresh_of ?analyst ~dataset priced in
               (* the whole-lifetime face is durable before the handle
                  exists *)
               match charge_fresh t sv f with

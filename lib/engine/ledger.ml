@@ -185,11 +185,6 @@ let replay_charge t ?analyst ~face ~rho () =
       t.sum_eps_exp <- t.sum_eps_exp +. (eps *. (exp eps -. 1.));
       Array.iteri (fun i d -> t.rho.(i) <- t.rho.(i) +. d) arr
 
-let preview ~total ~backend charges =
-  let t = create ~total ~backend () in
-  List.iter (commit t) charges;
-  spent t
-
 let spend t ?analyst c =
   if not (fits t.total (spent_with t c)) then
     Error { requested = c.budget; remaining = remaining t; analyst = None }

@@ -65,14 +65,6 @@ val analyst_spent : t -> string -> Privacy.budget
 
 val pp_backend : Format.formatter -> backend -> unit
 
-val preview : total:Privacy.budget -> backend:backend -> charge list -> Privacy.budget
-(** Composed spend of a hypothetical charge sequence under [backend],
-    with no affordability gate — the static ε-odometer of
-    [dpkit analyze]. Applies exactly the accumulator updates of a live
-    {!spend} sequence, so a workload's previewed total is bit-identical
-    to the {!spent} of a ledger that served it.
-    @raise Invalid_argument on an invalid backend parameter. *)
-
 (** {2 Durable replay}
 
     The journal cannot serialize an RDP curve (a closure), but the

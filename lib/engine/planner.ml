@@ -174,6 +174,61 @@ let spec (s : Registry.schema) ~epsilon query =
                 })
 
 (* ------------------------------------------------------------------ *)
+(* Pricing: every fresh release, whatever its kind, as the ledger and
+   the audit log see it. The engine builds each fresh release from
+   [price] and `dpkit analyze` pushes the same [charge] through its
+   ledger, so static and live totals agree because they are one
+   function. *)
+
+type _ request =
+  | Query : Query.t * float -> spec request
+  | Train : Dp_train.Train.params -> Dp_train.Train.spec request
+  | Stream : Dp_stream.Stream.params -> Dp_stream.Stream.spec request
+
+type any_request = Any : _ request -> any_request
+
+type 'a priced = {
+  text : string;
+  mechanism_name : string;
+  sensitivity : float;
+  epsilon : float;
+  charge : Ledger.charge;
+  spec : 'a;
+}
+
+let text : type a. a request -> string = function
+  | Query (q, _) -> Query.normalize q
+  | Train p -> Dp_train.Train.normalize p
+  | Stream p -> Dp_stream.Stream.normalize p
+
+let price : type a. Registry.schema -> a request -> (a priced, string) result
+    =
+ fun s req ->
+  let priced ~mechanism_name ~sensitivity ~epsilon ~charge spec =
+    Ok { text = text req; mechanism_name; sensitivity; epsilon; charge; spec }
+  in
+  let face_charge budget = { Ledger.budget; rdp = None } in
+  match req with
+  | Query (query, epsilon) ->
+      Result.bind (spec s ~epsilon query) (fun sp ->
+          priced ~mechanism_name:(mechanism_name sp.mechanism)
+            ~sensitivity:sp.sensitivity ~epsilon ~charge:sp.charge sp)
+  | Train p ->
+      let cols =
+        Array.to_list (Array.map (fun (c : Registry.col_schema) -> c.col) s.cols)
+      in
+      Result.bind (Dp_train.Train.spec ~rows:s.rows ~cols p) (fun sp ->
+          priced
+            ~mechanism_name:(Dp_train.Train.backend_name p.backend)
+            ~sensitivity:sp.sensitivity ~epsilon:p.epsilon
+            ~charge:(face_charge sp.face) sp)
+  | Stream p ->
+      Result.bind (Dp_stream.Stream.spec p) (fun sp ->
+          priced ~mechanism_name:Dp_stream.Stream.mechanism_name
+            ~sensitivity:sp.sensitivity ~epsilon:p.epsilon
+            ~charge:(face_charge sp.face) sp)
+
+(* ------------------------------------------------------------------ *)
 (* Dynamic half: attach a fresh-noise closure to a priced spec. This is
    the only place that touches column values, and it re-derives each
    mechanism from the same (epsilon, policy) facts the spec was priced
@@ -281,7 +336,7 @@ let runner (ds : Registry.dataset) (sp : spec) =
                best := Float.max !best v;
                !best))
 
+let plan_of ds sp = { spec = sp; run = runner ds sp }
+
 let plan (ds : Registry.dataset) ~epsilon query =
-  match spec (Registry.schema_of ds) ~epsilon query with
-  | Error _ as e -> e
-  | Ok sp -> Ok { spec = sp; run = runner ds sp }
+  Result.map (plan_of ds) (spec (Registry.schema_of ds) ~epsilon query)

@@ -24,11 +24,12 @@
     (schema, ε, query) to a mechanism, a sensitivity and a ledger
     charge without ever touching column data or drawing noise — this is
     what makes the privacy cost of a workload a property of the plans
-    (paper Theorem 4.2: ε bounds the channel statically), and it is the
-    engine of [dpkit analyze]. {!plan} attaches the data-dependent
-    fresh-noise closure on top of an identically-priced spec, so a
-    static analysis and a live run of the same workload charge the
-    ledger bit-identically. *)
+    (paper Theorem 4.2: ε bounds the channel statically). {!price}
+    wraps it, with training runs and stream opens, into the one pricing
+    function of the engine and of [dpkit analyze]. {!plan} attaches the
+    data-dependent fresh-noise closure on top of an identically-priced
+    spec, so a static analysis and a live run of the same workload
+    charge the ledger bit-identically. *)
 
 type answer = Scalar of float | Vector of float array
 
@@ -55,6 +56,43 @@ val spec : Registry.schema -> epsilon:float -> Query.t -> (spec, string) result
 (** Static planning: no data access, no sampling. [Error] explains an
     unknown column, non-positive ε, or a query/schema mismatch; it
     never raises. *)
+
+(** {2 Pricing}
+
+    One function prices every kind of fresh release: a stat query, a
+    training run and a stream open. The engine builds each release's
+    ledger charge and audit labels from {!price}, and [dpkit analyze]
+    pushes the same charges through its ledger, so a static analysis
+    and a live run agree to the float bit because they run this one
+    function. *)
+
+type _ request =
+  | Query : Query.t * float -> spec request  (** a query at ε *)
+  | Train : Dp_train.Train.params -> Dp_train.Train.spec request
+  | Stream : Dp_stream.Stream.params -> Dp_stream.Stream.spec request
+
+type any_request = Any : _ request -> any_request
+
+type 'a priced = {
+  text : string;  (** normalized request text: the journal/audit label *)
+  mechanism_name : string;
+  sensitivity : float;
+  epsilon : float;  (** requested face-value ε *)
+  charge : Ledger.charge;
+  spec : 'a;  (** the kind's static spec, for the release itself *)
+}
+
+val text : _ request -> string
+(** [(price s r).text], known before pricing: refusals are logged
+    under it. *)
+
+val price : Registry.schema -> 'a request -> ('a priced, string) result
+(** Static: no data access, no sampling. [Error] explains an unknown
+    column or target, a bad ε, or a query/schema mismatch. *)
+
+val plan_of : Registry.dataset -> spec -> plan
+(** Attach the release closure to a priced query: scans the data once;
+    [run] then draws fresh noise on each call. *)
 
 val plan : Registry.dataset -> epsilon:float -> Query.t -> (plan, string) result
 (** [plan ds ~epsilon q] = [spec (Registry.schema_of ds) ~epsilon q]

@@ -16,114 +16,36 @@ let cap_reply lines =
     List.filteri (fun i _ -> i < max_reply_lines - 1) lines
     @ [ Printf.sprintf "  truncated=%d" (n - (max_reply_lines - 1)) ]
 
-(* key=value option parsing; bare words are flags. Strict: unknown and
-   duplicate keys are rejected outright, so a fuzz-found garbage line is
-   never half-parsed into a valid request. *)
+(* Options are read by the one reader, [Opts], whose errors are plain
+   messages; this is the reply boundary that makes them wire lines. *)
+let bad_argument msg = "err bad-argument " ^ msg
+
 let parse_opts ~known tokens =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | tok :: rest ->
-        let key, value =
-          match String.index_opt tok '=' with
-          | Some i ->
-              ( String.sub tok 0 i,
-                Some (String.sub tok (i + 1) (String.length tok - i - 1)) )
-          | None -> (tok, None)
-        in
-        if not (List.mem key known) then
-          Error
-            (Printf.sprintf "err bad-argument unknown option %s (known: %s)"
-               key (String.concat " " known))
-        else if List.mem_assoc key acc then
-          Error (Printf.sprintf "err bad-argument duplicate option %s" key)
-        else go ((key, value) :: acc) rest
-  in
-  go [] tokens
-
-let find_opt key opts =
-  List.find_map (fun (k, v) -> if k = key then v else None) opts
-
-let has_flag key opts = List.exists (fun (k, v) -> k = key && v = None) opts
-
-let float_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Ok x
-      | _ -> Error (Printf.sprintf "err bad-argument %s=%s" key s))
-
-let int_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "err bad-argument %s=%s" key s))
+  Result.map_error bad_argument (Opts.parse ~known tokens)
 
 let ( let* ) = Result.bind
 
-let register_keys =
-  [
-    "rows"; "eps"; "delta"; "default-eps"; "analyst-eps"; "universe"; "slack";
-    "backend"; "no-cache"; "low-water";
-  ]
-
 let register_lines eng name opts_tokens =
-  let result =
-    let* opts = parse_opts ~known:register_keys opts_tokens in
-    let* rows = int_opt "rows" ~default:1000 opts in
-    let* eps = float_opt "eps" ~default:1.0 opts in
-    let* delta = float_opt "delta" ~default:0. opts in
-    let* default_eps = float_opt "default-eps" ~default:0.1 opts in
-    let* analyst_eps = float_opt "analyst-eps" ~default:0. opts in
-    let* universe = int_opt "universe" ~default:64 opts in
-    let* slack = float_opt "slack" ~default:1e-6 opts in
-    let* low_water = float_opt "low-water" ~default:0. opts in
-    let* backend =
-      match find_opt "backend" opts with
-      | None | Some "basic" -> Ok Ledger.Basic
-      | Some "advanced" -> Ok (Ledger.Advanced { slack })
-      | Some "rdp" ->
-          Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
-      | Some other ->
-          Error (Printf.sprintf "err bad-argument backend=%s" other)
-    in
-    if rows <= 0 then Error "err bad-argument rows must be positive"
-    else if eps <= 0. then Error "err bad-argument eps must be positive"
-    else if low_water < 0. then
-      Error "err bad-argument low-water must be >= 0"
-    else
-      let policy =
-        {
-          Registry.total = Privacy.approx ~epsilon:eps ~delta;
-          backend;
-          default_epsilon = default_eps;
-          analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
-          universe;
-          cache = not (has_flag "no-cache" opts);
-          low_water;
-        }
-      in
-      Result.map_error
-        (fun msg -> "err register-failed " ^ msg)
-        (Engine.register_synthetic eng ~name ~rows ~policy)
-  in
-  match result with
-  | Error line -> [ line ]
-  | Ok ds ->
-      [
-        Printf.sprintf "ok registered name=%s rows=%d cols=%s eps=%s delta=%s backend=%s"
-          ds.Registry.name ds.Registry.rows
-          (String.concat ","
-             (Array.to_list
-                (Array.map
-                   (fun (c : Registry.column) -> c.name)
-                   ds.Registry.columns)))
-          (fstr ds.Registry.policy.total.Privacy.epsilon)
-          (fstr ds.Registry.policy.total.Privacy.delta)
-          (Format.asprintf "%a" Ledger.pp_backend ds.Registry.policy.backend);
-      ]
+  match Registry.of_register_options opts_tokens with
+  | Error msg -> [ bad_argument msg ]
+  | Ok (rows, policy) -> (
+      match Engine.register_synthetic eng ~name ~rows ~policy with
+      | Error msg -> [ "err register-failed " ^ msg ]
+      | Ok ds ->
+          [
+            Printf.sprintf
+              "ok registered name=%s rows=%d cols=%s eps=%s delta=%s backend=%s"
+              ds.Registry.name ds.Registry.rows
+              (String.concat ","
+                 (Array.to_list
+                    (Array.map
+                       (fun (c : Registry.column) -> c.name)
+                       ds.Registry.columns)))
+              (fstr ds.Registry.policy.total.Privacy.epsilon)
+              (fstr ds.Registry.policy.total.Privacy.delta)
+              (Format.asprintf "%a" Ledger.pp_backend
+                 ds.Registry.policy.backend);
+          ])
 
 let answer_string = function
   | Planner.Scalar v -> Printf.sprintf "value=%.6f" v
@@ -178,26 +100,24 @@ let error_lines (e : Engine.error) =
   | Engine.Fatal msg -> [ "err fatal " ^ msg ]
 
 let query_lines eng dataset expr opts_tokens =
-  match parse_opts ~known:[ "eps"; "analyst" ] opts_tokens with
-  | Error line -> [ line ]
-  | Ok opts -> (
-      let analyst = find_opt "analyst" opts in
-      match find_opt "eps" opts with
-      | Some s when float_of_string_opt s = None ->
-          [ Printf.sprintf "err bad-argument eps=%s" s ]
-      | eps_opt -> (
-          let epsilon = Option.bind eps_opt float_of_string_opt in
-          match Engine.submit_text eng ?analyst ?epsilon ~dataset expr with
-          | Ok r ->
-              [
-                Printf.sprintf "ok seq=%d %s mechanism=%s eps-charged=%s cache=%s"
-                  r.Engine.seq
-                  (answer_string r.Engine.answer)
-                  (Planner.mechanism_name r.Engine.mechanism)
-                  (fstr r.Engine.charged.Privacy.epsilon)
-                  (if r.Engine.cache_hit then "hit" else "miss");
-              ]
-          | Error e -> error_lines e))
+  match
+    let* opts = Opts.parse ~known:[ "eps"; "analyst" ] opts_tokens in
+    let* epsilon = Opts.float_opt "eps" opts in
+    Ok (Opts.find "analyst" opts, epsilon)
+  with
+  | Error msg -> [ bad_argument msg ]
+  | Ok (analyst, epsilon) -> (
+      match Engine.submit_text eng ?analyst ?epsilon ~dataset expr with
+      | Ok r ->
+          [
+            Printf.sprintf "ok seq=%d %s mechanism=%s eps-charged=%s cache=%s"
+              r.Engine.seq
+              (answer_string r.Engine.answer)
+              (Planner.mechanism_name r.Engine.mechanism)
+              (fstr r.Engine.charged.Privacy.epsilon)
+              (if r.Engine.cache_hit then "hit" else "miss");
+          ]
+      | Error e -> error_lines e)
 
 let report_lines eng dataset =
   match Engine.report eng ~dataset with
@@ -301,36 +221,35 @@ let train_lines eng name opts_tokens =
   match Engine.find eng name with
   | None -> [ Printf.sprintf "err unknown-dataset %s" name ]
   | Some ds -> (
-      match parse_opts ~known:train_keys opts_tokens with
-      | Error line -> [ line ]
-      | Ok opts -> (
-          let analyst = find_opt "analyst" opts in
-          let params_opts = List.filter (fun (k, _) -> k <> "analyst") opts in
-          match
-            Dp_train.Train.params_of_opts
-              ~default_epsilon:ds.Registry.policy.default_epsilon params_opts
-          with
-          | Error msg -> [ "err bad-argument " ^ msg ]
-          | Ok params -> (
-              match Engine.train eng ?analyst ~dataset:name params with
-              | Error e -> error_lines e
-              | Ok r ->
-                  let m = r.Engine.model in
-                  [
-                    Printf.sprintf
-                      "ok trained model=%s backend=%s eps-charged=%s \
-                       eps-face=%s chains=%d steps=%d %s acceptance=%.3f \
-                       released=yes"
-                      m.Dp_train.Model_store.handle
-                      m.Dp_train.Model_store.backend
-                      (fstr r.Engine.charged.Privacy.epsilon)
-                      (fstr m.Dp_train.Model_store.face.Privacy.epsilon)
-                      m.Dp_train.Model_store.chains
-                      m.Dp_train.Model_store.steps
-                      (gate_summary ~rhat:m.Dp_train.Model_store.rhat
-                         ~ess:m.Dp_train.Model_store.ess)
-                      m.Dp_train.Model_store.acceptance;
-                  ])))
+      match
+        let* opts = Opts.parse ~known:train_keys opts_tokens in
+        let* params =
+          Dp_train.Train.params_of_opts
+            ~default_epsilon:ds.Registry.policy.default_epsilon opts
+        in
+        Ok (Opts.find "analyst" opts, params)
+      with
+      | Error msg -> [ bad_argument msg ]
+      | Ok (analyst, params) -> (
+          match Engine.train eng ?analyst ~dataset:name params with
+          | Error e -> error_lines e
+          | Ok r ->
+              let m = r.Engine.model in
+              [
+                Printf.sprintf
+                  "ok trained model=%s backend=%s eps-charged=%s \
+                   eps-face=%s chains=%d steps=%d %s acceptance=%.3f \
+                   released=yes"
+                  m.Dp_train.Model_store.handle
+                  m.Dp_train.Model_store.backend
+                  (fstr r.Engine.charged.Privacy.epsilon)
+                  (fstr m.Dp_train.Model_store.face.Privacy.epsilon)
+                  m.Dp_train.Model_store.chains
+                  m.Dp_train.Model_store.steps
+                  (gate_summary ~rhat:m.Dp_train.Model_store.rhat
+                     ~ess:m.Dp_train.Model_store.ess)
+                  m.Dp_train.Model_store.acceptance;
+              ]))
 
 let parse_point csv =
   let parts = String.split_on_char ',' csv in
@@ -391,34 +310,33 @@ let stream_new_lines eng name opts_tokens =
   match Engine.find eng name with
   | None -> [ Printf.sprintf "err unknown-dataset %s" name ]
   | Some ds -> (
-      match parse_opts ~known:stream_keys opts_tokens with
-      | Error line -> [ line ]
-      | Ok opts -> (
-          let analyst = find_opt "analyst" opts in
-          let params_opts = List.filter (fun (k, _) -> k <> "analyst") opts in
-          match
-            Dp_stream.Stream.params_of_opts
-              ~default_epsilon:ds.Registry.policy.default_epsilon params_opts
-          with
-          | Error msg -> [ "err bad-argument " ^ msg ]
-          | Ok params -> (
-              match Engine.stream_open eng ?analyst ~dataset:name params with
-              | Error e -> error_lines e
-              | Ok r ->
-                  let s = r.Engine.stream in
-                  let spec = s.Dp_stream.Stream_store.spec in
-                  [
-                    Printf.sprintf
-                      "ok stream handle=%s N=%d window=%d levels=%d \
-                       eps-level=%s eps-face=%s eps-charged=%s mechanism=tree"
-                      s.Dp_stream.Stream_store.handle
-                      spec.Dp_stream.Stream.params.Dp_stream.Stream.horizon
-                      spec.Dp_stream.Stream.params.Dp_stream.Stream.window
-                      spec.Dp_stream.Stream.levels
-                      (fstr spec.Dp_stream.Stream.params.Dp_stream.Stream.epsilon)
-                      (fstr spec.Dp_stream.Stream.face.Privacy.epsilon)
-                      (fstr r.Engine.charged.Privacy.epsilon);
-                  ])))
+      match
+        let* opts = Opts.parse ~known:stream_keys opts_tokens in
+        let* params =
+          Dp_stream.Stream.params_of_opts
+            ~default_epsilon:ds.Registry.policy.default_epsilon opts
+        in
+        Ok (Opts.find "analyst" opts, params)
+      with
+      | Error msg -> [ bad_argument msg ]
+      | Ok (analyst, params) -> (
+          match Engine.stream_open eng ?analyst ~dataset:name params with
+          | Error e -> error_lines e
+          | Ok r ->
+              let s = r.Engine.stream in
+              let spec = s.Dp_stream.Stream_store.spec in
+              [
+                Printf.sprintf
+                  "ok stream handle=%s N=%d window=%d levels=%d \
+                   eps-level=%s eps-face=%s eps-charged=%s mechanism=tree"
+                  s.Dp_stream.Stream_store.handle
+                  spec.Dp_stream.Stream.params.Dp_stream.Stream.horizon
+                  spec.Dp_stream.Stream.params.Dp_stream.Stream.window
+                  spec.Dp_stream.Stream.levels
+                  (fstr spec.Dp_stream.Stream.params.Dp_stream.Stream.epsilon)
+                  (fstr spec.Dp_stream.Stream.face.Privacy.epsilon)
+                  (fstr r.Engine.charged.Privacy.epsilon);
+              ]))
 
 let append_lines eng handle bit_str =
   match int_of_string_opt bit_str with
@@ -453,16 +371,16 @@ let stream_read_lines eng handle =
   | Ok c -> stream_count_lines "stream-read" c
 
 let stream_window_lines eng handle opts_tokens =
-  match parse_opts ~known:[ "w" ] opts_tokens with
-  | Error line -> [ line ]
-  | Ok opts -> (
-      match int_opt "w" ~default:(-1) opts with
-      | Error line -> [ line ]
-      | Ok w -> (
-          let w = if w < 0 then None else Some w in
-          match Engine.stream_window eng handle ?w () with
-          | Error e -> error_lines e
-          | Ok c -> stream_count_lines "stream-window" c))
+  match
+    let* opts = Opts.parse ~known:[ "w" ] opts_tokens in
+    Opts.int "w" ~default:(-1) opts
+  with
+  | Error msg -> [ bad_argument msg ]
+  | Ok w -> (
+      let w = if w < 0 then None else Some w in
+      match Engine.stream_window eng handle ?w () with
+      | Error e -> error_lines e
+      | Ok c -> stream_count_lines "stream-window" c)
 
 let help_lines =
   [

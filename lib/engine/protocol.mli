@@ -67,8 +67,8 @@ val parse_opts :
   known:string list ->
   string list ->
   ((string * string option) list, string) result
-(** Parse [key=value] / bare-flag tokens. Unknown keys and duplicate
-    keys are rejected with an [err bad-argument ...] line as the error. *)
+(** {!Dp_mechanism.Opts.parse} with its error made an
+    [err bad-argument ...] reply line. *)
 
 val exec : Engine.t -> string -> string list
 (** Execute one request line; returns the reply lines (empty for blank

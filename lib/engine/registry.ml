@@ -23,6 +23,48 @@ let default_policy ~total =
     low_water = 0.;
   }
 
+let register_keys =
+  [
+    "rows"; "eps"; "delta"; "default-eps"; "analyst-eps"; "universe"; "slack";
+    "backend"; "no-cache"; "low-water";
+  ]
+
+let ( let* ) = Result.bind
+
+let of_register_options tokens =
+  let* opts = Opts.parse ~known:register_keys tokens in
+  let* rows = Opts.int "rows" ~default:1000 opts in
+  let* eps = Opts.float "eps" ~default:1.0 opts in
+  let* delta = Opts.float "delta" ~default:0. opts in
+  let* default_epsilon = Opts.float "default-eps" ~default:0.1 opts in
+  let* analyst_eps = Opts.float "analyst-eps" ~default:0. opts in
+  let* universe = Opts.int "universe" ~default:64 opts in
+  let* slack = Opts.float "slack" ~default:1e-6 opts in
+  let* low_water = Opts.float "low-water" ~default:0. opts in
+  let* backend =
+    match Opts.find "backend" opts with
+    | None | Some "basic" -> Ok Ledger.Basic
+    | Some "advanced" -> Ok (Ledger.Advanced { slack })
+    | Some "rdp" ->
+        Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
+    | Some other -> Error (Printf.sprintf "backend=%s" other)
+  in
+  if rows <= 0 then Error "rows must be positive"
+  else if eps <= 0. then Error "eps must be positive"
+  else if low_water < 0. then Error "low-water must be >= 0"
+  else
+    Ok
+      ( rows,
+        {
+          total = Privacy.approx ~epsilon:eps ~delta;
+          backend;
+          default_epsilon;
+          analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
+          universe;
+          cache = not (Opts.flag "no-cache" opts);
+          low_water;
+        } )
+
 type dataset = {
   name : string;
   columns : column array;

@@ -30,6 +30,14 @@ val default_policy : total:Privacy.budget -> policy
 (** Basic composition, default ε = 0.1 per query, no analyst caps,
     universe 64, cache on, no low-water mark. *)
 
+val of_register_options : string list -> (int * policy, string) result
+(** The one [register] grammar: [key=value] tokens to the row count
+    and the policy (defaults: [rows=1000 eps=1 delta=0
+    default-eps=0.1 universe=64 slack=1e-6 backend=basic]; [no-cache]
+    is a flag). The serve protocol's [register] and the analyzer's
+    schema files both read their options here. The error is a plain
+    message without wire-format prefix. *)
+
 type dataset = {
   name : string;
   columns : column array;

@@ -42,16 +42,10 @@ let scan_path root =
   in
   List.sort compare (walk root [])
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let parse_file path =
   match Pparse.parse_implementation ~tool_name:"dpkit-flow" path with
   | structure ->
-      let src = try read_file path with Sys_error _ -> "" in
+      let src = try Dp_lint.Driver.read_file path with Sys_error _ -> "" in
       let allows = (Dp_lint.Lexer.scan src).Dp_lint.Lexer.allows in
       Ok
         {

@@ -1,6 +1,6 @@
 (* F3: RNG stream provenance.
 
-   Three checks, generalizing the lexical R9:
+   Four checks:
 
    - crossing: a PRNG stream owned by one subsystem (created there, or
      read from a [.rng]/[.jitter] field there) must not be passed into
@@ -11,7 +11,10 @@
      stream's future breaks the mechanisms' independence assumptions).
    - duplicate constant seeds: the same literal seed appearing in
      [Prng.create] calls of two different subsystems couples streams
-     that the privacy analysis treats as independent. *)
+     that the privacy analysis treats as independent.
+   - borrowed streams: a self-seeded domain (the certifier) reading a
+     [.rng]/[.jitter] field draws on a stream it did not create,
+     typically the engine's privacy stream under test. *)
 
 let domain_of_def (d : Graph.def) = Spec.domain_of_segs d.Graph.file.segs
 
@@ -123,6 +126,34 @@ let sweep graph out =
           expr =
             (fun self e ->
               (match e.pexp_desc with
+              | Pexp_field (_, { txt; _ })
+                when List.mem (Longident.last txt) Spec.stream_fields
+                     && (match dom with
+                        | Some dom -> List.mem dom Spec.self_seeded_domains
+                        | None -> false) ->
+                  let line, col = Graph.line_col e.pexp_loc in
+                  out :=
+                    {
+                      Dp_lint.Report.rule = "F3";
+                      file = d.file.path;
+                      line;
+                      col;
+                      message =
+                        Printf.sprintf
+                          "%s code reads the stream field .%s — it must \
+                           draw only from streams split from its own seed \
+                           (drawing on the privacy stream under test voids \
+                           the audit)"
+                          (Option.value ~default:"" dom)
+                          (Longident.last txt);
+                      witness =
+                        [
+                          Graph.step d e.pexp_loc
+                            ~what:
+                              (Printf.sprintf "stream field read in %s" d.id);
+                        ];
+                    }
+                    :: !out
               | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
                 -> (
                   let key =

@@ -210,6 +210,12 @@ let domain_of_module m =
   | "Certify" | "Stat" -> Some "certify"
   | _ -> None
 
+(* domains that audit the others' noise: their randomness must be
+   independent of every stream under test, so they may only create
+   streams from their own seed, never read one out of a record's
+   stream field *)
+let self_seeded_domains = [ "certify" ]
+
 (* modules that live inside a domain's directory but are shared
    infrastructure: passing a stream to them is not a crossing *)
 let neutral_modules = [ "Faults" ]

@@ -85,6 +85,10 @@ val domain_of_module : string -> string option
 (** Owning subsystem of a call target whose source is outside the
     analyzed set, from its module prefix. *)
 
+val self_seeded_domains : string list
+(** Domains that audit the others' noise ([certify]): reading a
+    stream field there is a finding, wherever the record came from. *)
+
 val neutral_modules : string list
 (** Modules inside a domain's directory that are shared
     infrastructure: passing a stream to them is not a crossing. *)

@@ -1,8 +1,8 @@
 let read_file path =
   let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let skip_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
 

@@ -1,5 +1,9 @@
 (** Walking, lexing and rule dispatch — the engine of [dpkit lint]. *)
 
+val read_file : string -> string
+(** The whole file. The channel is closed on every path, also when the
+    read raises. @raise Sys_error when it cannot be opened or read. *)
+
 val scan_dir : string -> string list
 (** All [.ml]/[.mli] files under a directory (skipping [_build],
     [.git], …), as sorted '/'-separated paths relative to it. *)

@@ -35,11 +35,6 @@ let all =
        in lib/engine, lib/mechanism and lib/net, never build a label string \
        at a metrics/span call site (a query argument in a metric name is a \
        side channel)" );
-    ( "R9",
-      "the certifier owns its randomness: in lib/certify, never Prng.copy a \
-       generator or reach into an engine's rng field — split fresh streams \
-       from the harness's own seed (an audit that shares the privacy noise \
-       stream it is testing certifies nothing)" );
   ]
 
 let has_seg ctx s = List.mem s ctx.segs
@@ -281,38 +276,5 @@ let r7 ctx =
     List.rev !out
   end
 
-(* R9 ------------------------------------------------------------- *)
-
-(* The certification harness hypothesis-tests the engine's noise, so it
-   must be statistically independent of it. [Prng.copy] duplicates a
-   stream — the one way to alias the engine's privacy generator — and a
-   [.rng] field access reaches into an engine record for its stream.
-   Either one correlates the audit's draws with the noise under test;
-   the harness may only [Prng.create] from its own seed and
-   [Prng.split] children off that. *)
-
-let r9 ctx =
-  if not (has_seg ctx "certify" && is_ml ctx) then []
-  else begin
-    let out = ref [] in
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        if t.text = "copy" && tok ctx (i - 1) = "." && tok ctx (i - 2) = "Prng"
-        then
-          out :=
-            finding ctx "R9" i
-              "Prng.copy aliases a noise stream; the certifier must split \
-               fresh streams from its own seed, never duplicate one"
-            :: !out;
-        if t.text = "rng" && tok ctx (i - 1) = "." then
-          out :=
-            finding ctx "R9" i
-              "certifier reads an engine's rng field; drawing on the \
-               privacy stream under test voids the audit"
-            :: !out)
-      ctx.tokens;
-    List.rev !out
-  end
-
 let run ctx =
-  List.concat [ r1 ctx; r4 ctx; r5 ctx; r6 ctx; r7 ctx; r9 ctx ]
+  List.concat [ r1 ctx; r4 ctx; r5 ctx; r6 ctx; r7 ctx ]

@@ -21,8 +21,6 @@ let default_config ~port =
     jitter = None;
   }
 
-let now_s () = float_of_int (Dp_obs.Clock.now_ns ()) /. 1e9
-
 type wire = { fd : Unix.file_descr; lb : Linebuf.t }
 
 let connect cfg =
@@ -60,14 +58,14 @@ let send_line { fd; _ } line =
    like a transient error and retries the whole request. *)
 let read_frame cfg w =
   let buf = Bytes.create 4096 in
-  let deadline = now_s () +. cfg.reply_timeout_s in
+  let deadline = Dp_obs.Clock.now_s () +. cfg.reply_timeout_s in
   let rec go acc pending =
     match pending with
     | l :: rest ->
         if l.Linebuf.text = "" then Ok (List.rev acc, rest)
         else go (l :: acc) rest
     | [] ->
-        let left = deadline -. now_s () in
+        let left = deadline -. Dp_obs.Clock.now_s () in
         if left <= 0. then Error "reply timeout"
         else (
           match Unix.select [ w.fd ] [] [] left with

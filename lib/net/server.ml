@@ -68,8 +68,6 @@ type t = {
 
 and source = Listen | Control of Unix.file_descr * (t -> readable:bool -> unit)
 
-let now_s () = float_of_int (Dp_obs.Clock.now_ns ()) /. 1e9
-
 let listen (config : config) =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
@@ -177,7 +175,7 @@ let mk_conn fd =
     close_after_flush = false;
     eof = false;
     closed = false;
-    last_active = now_s ();
+    last_active = Dp_obs.Clock.now_s ();
     req_start_ns = 0;
     accept_ns = Dp_obs.Clock.now_ns ();
     replied = false;
@@ -199,7 +197,7 @@ let adopt t fd =
       Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
       c.eof <- true;
       c.close_after_flush <- true;
-      queue_frame c ~deadline:(now_s () +. t.cfg.reply_deadline_s)
+      queue_frame c ~deadline:(Dp_obs.Clock.now_s () +. t.cfg.reply_deadline_s)
         [ overloaded_line t ]
     end
     else Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
@@ -231,7 +229,7 @@ let is_append_line text =
      && String.sub t 0 7 = "append "
 
 let handle_line t c (l : Linebuf.line) =
-  let now = now_s () in
+  let now = Dp_obs.Clock.now_s () in
   c.last_active <- now;
   let bound =
     if is_append_line l.Linebuf.text then
@@ -365,7 +363,7 @@ let write_phase t c =
           c.out_pos <- 0;
           (* a reply that took longer than the idle timeout to compute
              must not get its connection closed right after it lands *)
-          c.last_active <- now_s ();
+          c.last_active <- Dp_obs.Clock.now_s ();
           if not c.replied then begin
             c.replied <- true;
             Dp_obs.Metrics.observe t.scope Dp_obs.Name.Net_accept_to_reply_ns
@@ -394,7 +392,7 @@ let due t c =
     | None -> c.last_active +. t.cfg.idle_timeout_s
 
 let timeout_phase t =
-  let now = now_s () in
+  let now = Dp_obs.Clock.now_s () in
   List.iter (fun c -> if now > due t c then close_conn t `Deadline c) t.conns
 
 (* The longest a turn may sleep: bounds how late a control hook sees a
@@ -405,7 +403,7 @@ let wait_s t =
   if List.exists runnable t.conns then 0.
   else if t.stopping then 0.02
   else
-    let now = now_s () in
+    let now = Dp_obs.Clock.now_s () in
     List.fold_left
       (fun acc c -> Float.min acc (Float.max 0.01 (due t c -. now)))
       max_wait_s t.conns

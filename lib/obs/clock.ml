@@ -1,44 +1,6 @@
-(* Monotonic nanosecond clock built from a steppable wall clock.
+external now_ns : unit -> int = "dp_clock_monotonic_ns" [@@noalloc]
 
-   Stdlib 4.14's Unix exposes no clock_gettime(CLOCK_MONOTONIC) and
-   adding Mtime is off the table, so monotonicity is reconstructed from
-   gettimeofday by integrating only the *forward* deltas between
-   consecutive readings: a backwards wall-clock step (NTP slew, manual
-   reset) contributes zero instead of a negative delta, and — unlike the
-   old max-clamp, which froze the clock until wall time caught back up —
-   the very next forward delta advances the monotonic value again. Both
-   latency histograms and the network frontend's request deadlines keep
-   ticking across a step. *)
-
-(* Test hook: a mocked raw source drives the backwards-step regression
-   test. Installing or removing it is itself just another (possibly
-   backwards) step, which the delta guard absorbs. *)
-let raw_override : (unit -> int) option ref = ref None
-
-let set_raw_ns_for_tests f = raw_override := f
-
-let raw_ns () =
-  match !raw_override with
-  | Some f -> f ()
-  | None -> int_of_float (Unix.gettimeofday () *. 1e9)
-
-let started = ref false
-let last_raw = ref 0
-let mono = ref 0
-
-let now_ns () =
-  let r = raw_ns () in
-  if not !started then begin
-    started := true;
-    last_raw := r;
-    mono := r
-  end
-  else begin
-    let d = r - !last_raw in
-    last_raw := r;
-    if d > 0 then mono := !mono + d
-  end;
-  !mono
+let now_s () = float_of_int (now_ns ()) /. 1e9
 
 let elapsed_ns t0 =
   let d = now_ns () - t0 in

@@ -1,22 +1,16 @@
-(** Monotonic clock in integer nanoseconds, survivable across
-    wall-clock steps.
+(** Monotonic clock: [clock_gettime(CLOCK_MONOTONIC)] through a C stub.
 
-    The stdlib's Unix (4.14) has no [clock_gettime MONOTONIC], so the
-    clock integrates the forward deltas of [Unix.gettimeofday]: a
-    backwards step contributes zero and the next forward reading resumes
-    advancing immediately (the previous max-clamp froze until wall time
-    caught up, stalling deadlines for the full step width). Within the
-    process [now_ns] is non-decreasing, so span durations, histogram
-    observations and network deadlines are always [>= 0]. *)
+    A wall-clock step (NTP slew, manual reset) never moves it, so span
+    durations, histogram observations and request deadlines are always
+    [>= 0] and keep their length across a step. Readings are
+    comparable only within one boot of one machine; never journal
+    them. *)
 
 val now_ns : unit -> int
-(** Current monotonic time in nanoseconds, non-decreasing within the
-    process. Anchored at the first call's wall-clock reading. *)
+(** Current monotonic time in nanoseconds. *)
+
+val now_s : unit -> float
+(** [now_ns] in seconds: for deadlines and waits. *)
 
 val elapsed_ns : int -> int
 (** [elapsed_ns t0] is [now_ns () - t0] clamped to [>= 0]. *)
-
-val set_raw_ns_for_tests : (unit -> int) option -> unit
-(** Replace (or with [None] restore) the raw wall-clock source. Test
-    hook for the backwards-step regression; the install/remove
-    transition is absorbed like any other step. *)

@@ -79,12 +79,12 @@ let try_lock path =
    select round (~0.25 s) and exit; waiting a bounded moment for their
    locks makes restart-after-kill work without external sequencing. *)
 let acquire_lock ?(wait_s = 0.) path =
-  let deadline = Unix.gettimeofday () +. wait_s in
+  let deadline = Dp_obs.Clock.now_s () +. wait_s in
   let rec go () =
     match try_lock path with
     | Ok fd -> Ok fd
     | Error msg ->
-        if Unix.gettimeofday () >= deadline then Error msg
+        if Dp_obs.Clock.now_s () >= deadline then Error msg
         else begin
           (try ignore (Unix.select [] [] [] 0.05)
            with Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -354,7 +354,7 @@ let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
 (* Wait for a control message satisfying [accept], absorbing everything
    else, until [deadline_at]. *)
 let rec await_ctrl w ~deadline_at accept =
-  let remaining = deadline_at -. Unix.gettimeofday () in
+  let remaining = deadline_at -. Dp_obs.Clock.now_s () in
   if remaining <= 0. then None
   else
     match Unix.select [ w.ctrl ] [] [] remaining with
@@ -381,7 +381,7 @@ let request_lease w ~dataset ~(face : P.budget) l =
          (Printf.sprintf "lease ds=%s token=%d need=%h" dataset w.token need))
   then Engine.Lease_unavailable "pool coordinator unreachable"
   else
-    let deadline_at = Unix.gettimeofday () +. 3.0 in
+    let deadline_at = Dp_obs.Clock.now_s () +. 3.0 in
     let verdict =
       await_ctrl w ~deadline_at (fun msg ->
           match split_ws msg with
@@ -435,7 +435,7 @@ let do_register w text =
   if not (send_ctrl w.ctrl ("reg " ^ text)) then
     [ "err transient pool coordinator unreachable (retry)" ]
   else
-    let deadline_at = Unix.gettimeofday () +. 5.0 in
+    let deadline_at = Dp_obs.Clock.now_s () +. 5.0 in
     match
       await_ctrl w ~deadline_at (fun msg ->
           match split_ws msg with
@@ -551,6 +551,10 @@ type wstate = {
   mutable token : int;
   mutable live : bool;
   mutable restarts : int;
+  mutable retired : bool;
+      (** down for good: its [Incarnation] append failed, it hit
+          [max_restarts], or its journal was unreadable. A shard
+          between death and respawn is not retired. *)
 }
 
 type coord = {
@@ -580,6 +584,20 @@ let flush_pending coord assign =
   coord.pending <- [];
   List.iter assign pending
 
+(* Once every shard is down for good no connection can ever be served:
+   each gets one [err transient] frame and is closed, instead of waiting
+   in [pending] for a worker that will not come. *)
+let no_shard_frame = "err transient no live shard (retry)\n\n"
+
+let refuse_conn fd =
+  (try
+     ignore
+       (Unix.write_substring fd no_shard_frame 0 (String.length no_shard_frame))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let all_retired coord = Array.for_all (fun w -> w.retired) coord.cworkers
+
 let rec assign_conn coord fd =
   let n = Array.length coord.cworkers in
   let rec pick i tries =
@@ -604,9 +622,14 @@ let rec assign_conn coord fd =
         assign_conn coord fd
       end
   | None ->
-      if List.length coord.pending < 64 then
+      if all_retired coord then refuse_conn fd
+      else if List.length coord.pending < 64 then
         coord.pending <- fd :: coord.pending
       else (try Unix.close fd with Unix.Unix_error _ -> ())
+
+let retire coord w =
+  w.retired <- true;
+  if all_retired coord then flush_pending coord (assign_conn coord)
 
 let spawn_worker coord shard =
   let cfg = coord.cfg in
@@ -618,6 +641,7 @@ let spawn_worker coord shard =
   | Error msg ->
       Printf.eprintf "pool: grant wal: %s — leaving shard %d down\n%!" msg
         shard;
+      retire coord coord.cworkers.(shard);
       false
   | Ok () ->
       coord.wal_appends <- coord.wal_appends + 1;
@@ -839,10 +863,12 @@ let handle_death coord w status =
     (describe status);
   let reclaimed = reclaim_shard coord w in
   if coord.draining then ()
-  else if not reclaimed then ()
-  else if w.restarts >= coord.cfg.max_restarts then
+  else if not reclaimed then retire coord w
+  else if w.restarts >= coord.cfg.max_restarts then begin
     Printf.eprintf "pool: shard %d hit the restart bound — leaving it down\n%!"
-      w.shard
+      w.shard;
+    retire coord w
+  end
   else begin
     w.restarts <- w.restarts + 1;
     coord.restarted_n <- coord.restarted_n + 1;
@@ -1090,6 +1116,7 @@ let run_locked cfg ~gen_lock ~stop =
                         token = -1;
                         live = false;
                         restarts = 0;
+                        retired = false;
                       });
                 rr = 0;
                 pending = [];

@@ -18,29 +18,10 @@ let keys = [ "eps"; "N"; "window" ]
 
 let ( let* ) = Result.bind
 
-let find_opt key opts =
-  List.find_map (fun (k, v) -> if k = key then v else None) opts
-
-let float_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Ok x
-      | _ -> Error (Printf.sprintf "bad number %s=%s" key s))
-
-let int_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad integer %s=%s" key s))
-
 let params_of_opts ~default_epsilon opts =
-  let* epsilon = float_opt "eps" ~default:default_epsilon opts in
-  let* horizon = int_opt "N" ~default:1024 opts in
-  let* window = int_opt "window" ~default:0 opts in
+  let* epsilon = Opts.float "eps" ~default:default_epsilon opts in
+  let* horizon = Opts.int "N" ~default:1024 opts in
+  let* window = Opts.int "window" ~default:0 opts in
   if epsilon <= 0. then Error "eps must be positive"
   else if horizon < 2 || horizon > Counter.max_horizon then
     Error (Printf.sprintf "N must be in [2, %d]" Counter.max_horizon)

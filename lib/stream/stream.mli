@@ -19,7 +19,7 @@ val keys : string list
 
 val params_of_opts :
   default_epsilon:float ->
-  (string * string option) list ->
+  Opts.t ->
   (params, string) result
 
 val normalize : params -> string

@@ -31,43 +31,26 @@ let keys =
 
 let ( let* ) = Result.bind
 
-let find_opt key opts =
-  List.find_map (fun (k, v) -> if k = key then v else None) opts
-
-let float_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Ok x
-      | _ -> Error (Printf.sprintf "bad number %s=%s" key s))
-
-let int_opt key ~default opts =
-  match find_opt key opts with
-  | None -> Ok default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad integer %s=%s" key s))
+module Opts = Dp_mechanism.Opts
 
 let params_of_opts ~default_epsilon opts =
   let* backend =
-    match find_opt "backend" opts with
+    match Opts.find "backend" opts with
     | None | Some "gibbs" -> Ok Gibbs
     | Some "objpert" -> Ok Objpert
     | Some other -> Error (Printf.sprintf "bad backend=%s (gibbs|objpert)" other)
   in
-  let* epsilon = float_opt "eps" ~default:default_epsilon opts in
+  let* epsilon = Opts.float "eps" ~default:default_epsilon opts in
   let* chains =
-    int_opt "chains" ~default:(match backend with Gibbs -> 2 | Objpert -> 1) opts
+    Opts.int "chains" ~default:(match backend with Gibbs -> 2 | Objpert -> 1) opts
   in
-  let* steps = int_opt "steps" ~default:400 opts in
-  let* burn_in = int_opt "burn" ~default:400 opts in
-  let* step_std = float_opt "step-std" ~default:0.25 opts in
-  let* lambda = float_opt "lambda" ~default:0.1 opts in
-  let target = Option.value (find_opt "target" opts) ~default:"score" in
-  let* rhat_max = float_opt "rhat-max" ~default:1.1 opts in
-  let* ess_min = float_opt "ess-min" ~default:20. opts in
+  let* steps = Opts.int "steps" ~default:400 opts in
+  let* burn_in = Opts.int "burn" ~default:400 opts in
+  let* step_std = Opts.float "step-std" ~default:0.25 opts in
+  let* lambda = Opts.float "lambda" ~default:0.1 opts in
+  let target = Option.value (Opts.find "target" opts) ~default:"score" in
+  let* rhat_max = Opts.float "rhat-max" ~default:1.1 opts in
+  let* ess_min = Opts.float "ess-min" ~default:20. opts in
   if epsilon <= 0. then Error "eps must be positive"
   else if steps < 8 then Error "steps must be >= 8 (the gate splits each chain)"
   else if burn_in < 0 then Error "burn must be >= 0"

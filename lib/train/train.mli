@@ -53,7 +53,7 @@ val keys : string list
 
 val params_of_opts :
   default_epsilon:float ->
-  (string * string option) list ->
+  Dp_mechanism.Opts.t ->
   (params, string) result
 (** Build and validate params from parsed [key=value] options
     (unknown keys are the caller's concern; defaults:

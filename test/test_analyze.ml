@@ -1,9 +1,9 @@
 (* The static analyzer's contract: `dpkit analyze` must price a
    workload bit-identically to a live serving run — same per-query
    charges, same composed totals — while never touching column data.
-   These tests run the same workload through Engine.submit (live) and
-   Analyzer.analyze (static) under all three composition backends and
-   compare the float bits of the spent budgets. *)
+   These tests run the same workload through the serve protocol (live)
+   and Analyzer.analyze (static) under all three composition backends
+   and compare the float bits of the spent budgets. *)
 
 open Dp_mechanism
 module A = Dp_engine.Analyzer
@@ -12,25 +12,22 @@ module Registry = Dp_engine.Registry
 module Ledger = Dp_engine.Ledger
 module Planner = Dp_engine.Planner
 module Query = Dp_engine.Query
+module Protocol = Dp_engine.Protocol
 
+(* The workload as a live client sends it (after `query d`) and as a
+   workload file spells it: stat queries, one train and one stream. *)
 let workload =
   [
-    ("count", None);
-    ("count(age>=65)", Some 0.05);
-    ("mean(income)", Some 0.2);
-    ("histogram(age,8)", Some 0.2);
-    ("quantile(income,0.5)", Some 0.1);
-    ("cdf(score,-1,0,1)", Some 0.15);
-    ("sum(score)", Some 0.05);
+    "count";
+    "count(age>=65) eps=0.05";
+    "mean(income) eps=0.2";
+    "histogram(age,8) eps=0.2";
+    "quantile(income,0.5) eps=0.1";
+    "cdf(score,-1,0,1) eps=0.15";
+    "sum(score) eps=0.05";
+    "train target=score eps=0.05 steps=40 burn=40";
+    "stream eps=0.01 N=64 window=8";
   ]
-
-let items () =
-  List.map
-    (fun (text, eps) ->
-      match Query.parse text with
-      | Ok q -> A.Stat { text; query = q; epsilon = eps }
-      | Error e -> Alcotest.failf "parse %s: %s" text e)
-    workload
 
 let policy backend =
   {
@@ -53,23 +50,40 @@ let schema backend =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
+(* The live side goes through the serve protocol, so the option parsing
+   of `query`, `train` and `stream new` is part of what must agree. A
+   train the gate withholds still stands charged. *)
+let live_line line =
+  match String.split_on_char ' ' line with
+  | "train" :: opts -> String.concat " " ("train d" :: opts)
+  | "stream" :: opts -> String.concat " " ("stream new d" :: opts)
+  | _ -> "query d " ^ line
+
 let live_spent backend =
   let eng = E.create ~seed:7 () in
   (match E.register_synthetic eng ~name:"d" ~rows:500 ~policy:(policy backend) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   List.iter
-    (fun (text, eps) ->
-      match E.submit_text eng ?epsilon:eps ~dataset:"d" text with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "submit %s: %a" text E.pp_error e)
+    (fun line ->
+      match Protocol.exec eng (live_line line) with
+      | reply :: _
+        when String.starts_with ~prefix:"ok " reply
+             || String.starts_with ~prefix:"err degraded reason=unconverged"
+                  reply ->
+          ()
+      | reply -> Alcotest.failf "%s: %s" line (String.concat "\n" reply))
     workload;
   match E.report eng ~dataset:"d" with
   | Ok r -> r.E.spent
   | Error e -> Alcotest.failf "report: %a" E.pp_error e
 
 let static_report backend =
-  match A.analyze (schema backend) (items ()) with
+  match
+    Result.bind
+      (A.parse_workload (String.concat "\n" workload))
+      (A.analyze (schema backend))
+  with
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
@@ -86,30 +100,10 @@ let test_bit_exact backend () =
   let r = static_report backend in
   Alcotest.(check bool) "verdict PASS" true r.A.pass;
   Alcotest.(check int) "all accepted" (List.length workload) r.A.accepted;
-  check_bits "static vs live spent" live r.A.spent
-
-(* Ledger.preview is the one-call form of the same odometer: feeding it
-   the specs' charges must reproduce the live spent exactly. *)
-let test_preview backend () =
-  let s = schema backend in
-  let charges =
-    List.map
-      (fun (it : A.item) ->
-        match it with
-        | A.Train _ | A.Stream _ -> Alcotest.fail "stat workload only"
-        | A.Stat { query; epsilon; _ } -> (
-            let eps =
-              Option.value epsilon ~default:s.Registry.policy.default_epsilon
-            in
-            match Planner.spec s ~epsilon:eps query with
-            | Ok sp -> sp.Planner.charge
-            | Error e -> Alcotest.fail e))
-      (items ())
-  in
-  let previewed =
-    Ledger.preview ~total:s.Registry.policy.total ~backend charges
-  in
-  check_bits "preview vs live spent" (live_spent backend) previewed
+  check_bits "static vs live spent" live r.A.spent;
+  let rows = List.map (fun (row : A.row) -> row.A.mechanism) r.A.rows in
+  Alcotest.(check bool) "train and stream rows priced" true
+    (List.mem "gibbs" rows && List.mem "tree" rows)
 
 (* The analyzer reports all three composed totals; each must equal the
    live total under a policy using that backend (same workload, same
@@ -210,6 +204,42 @@ let test_overdraft_fail () =
               row.A.marginal.Privacy.epsilon)
         r.A.rows
 
+(* The exact replies to bad option values: `register`, `train` and
+   `stream new` parse their options through one reader, and these are
+   its words on the wire. *)
+let bad_value_replies =
+  [
+    ("register e eps=abc", "err bad-argument bad number eps=abc");
+    ("register e rows=ten", "err bad-argument bad integer rows=ten");
+    ("register e backend=fancy", "err bad-argument backend=fancy");
+    ("register e rows=0", "err bad-argument rows must be positive");
+    ("register e eps=1 eps=2", "err bad-argument duplicate option eps");
+    ("train d eps=abc", "err bad-argument bad number eps=abc");
+    ("train d steps=x", "err bad-argument bad integer steps=x");
+    ("train d backend=svm", "err bad-argument bad backend=svm (gibbs|objpert)");
+    ( "train d steps=4",
+      "err bad-argument steps must be >= 8 (the gate splits each chain)" );
+    ("stream new d N=abc", "err bad-argument bad integer N=abc");
+    ("stream new d eps=inf", "err bad-argument bad number eps=inf");
+    ("stream new d N=1", "err bad-argument N must be in [2, 1048576]");
+    ( "stream new d bogus=1",
+      "err bad-argument unknown option bogus (known: analyst eps N window)" );
+  ]
+
+let test_bad_value_replies () =
+  let eng = E.create ~seed:7 () in
+  (match E.register_synthetic eng ~name:"d" ~rows:50 ~policy:(policy Ledger.Basic) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (line, want) ->
+      Alcotest.(check (list string)) line [ want ] (Protocol.exec eng line))
+    bad_value_replies;
+  match A.parse_schema "dataset d eps=abc\ncolumn a lo=0 hi=1\n" with
+  | Ok _ -> Alcotest.fail "eps=abc accepted"
+  | Error e ->
+      Alcotest.(check string) "schema diagnostic" "line 1: bad number eps=abc" e
+
 let () =
   let backends =
     [
@@ -226,11 +256,6 @@ let () =
             Alcotest.test_case ("static = live, " ^ n) `Quick
               (test_bit_exact b))
           backends );
-      ( "preview",
-        List.map
-          (fun (n, b) ->
-            Alcotest.test_case ("preview = live, " ^ n) `Quick (test_preview b))
-          backends );
       ( "cross-backend",
         [
           Alcotest.test_case "all composed totals match live" `Quick
@@ -245,4 +270,6 @@ let () =
         ] );
       ( "verdict",
         [ Alcotest.test_case "overdraft FAILs" `Quick test_overdraft_fail ] );
+      ( "replies",
+        [ Alcotest.test_case "bad values pinned" `Quick test_bad_value_replies ] );
     ]

@@ -95,6 +95,30 @@ let qcheck_tests =
         | Error _ -> false);
   ]
 
+(* The one whole-file reader of lint and flow: a read that fails after
+   the open (a directory opens, then refuses to be read) must still
+   close its channel. *)
+let test_read_file_closes () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let dir = Filename.get_temp_dir_name () in
+    let before = fds () in
+    for _ = 1 to 8 do
+      match Dp_lint.Driver.read_file dir with
+      | _ -> Alcotest.fail "reading a directory succeeded"
+      | exception (Sys_error _ | End_of_file) -> ()
+    done;
+    Alcotest.(check int) "no descriptor leaked" before (fds ())
+  end;
+  let path = Filename.temp_file "dpkit_read" ".ml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc "let x = 1\n");
+      Alcotest.(check string) "contents" "let x = 1\n"
+        (Dp_lint.Driver.read_file path))
+
 let () =
   Alcotest.run "dp_lint"
     [
@@ -104,4 +128,6 @@ let () =
           Alcotest.test_case "rejects" `Quick test_rejects;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "reader",
+        [ Alcotest.test_case "closes on every path" `Quick test_read_file_closes ] );
     ]

@@ -323,7 +323,9 @@ let rm_rf dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-let forked_pool =
+(* [faults] defaults to the in-process engine's: $DPKIT_FAULTS, if set.
+   One fault plan covers the coordinator and its workers. *)
+let forked ?faults () =
   let launch config =
     let dir = Filename.temp_file "dpkit_pool" "" in
     Sys.remove dir;
@@ -344,8 +346,8 @@ let forked_pool =
                 (Dp_pool.Pool.default_config ~workers:2 ~port:0 ~journal) with
                 seed = 11;
                 net = config;
-                (* as the in-process engine: $DPKIT_FAULTS, if set *)
-                faults = Faults.of_env ();
+                faults =
+                  (match faults with Some f -> f | None -> Faults.of_env ());
               }
           with _ -> 2
         in
@@ -387,6 +389,8 @@ let forked_pool =
         }
   in
   { n = 2; launch }
+
+let forked_pool = forked ()
 
 let launchers = [ in_process; forked_pool ]
 
@@ -1111,6 +1115,39 @@ let no_answer_without_fsync l () =
 
 let fsync_always () = ok (Faults.parse "journal-fsync=always")
 
+(* At N=2 one fault plan covers the coordinator too: with every fsync
+   failing it cannot journal any worker's [Incarnation], so every shard
+   is down for good. Each client must then get one [err transient]
+   frame and a close, never silence until its own timeout. *)
+let no_shard_refuses () =
+  let lines = [ "query demo count"; "append demo/s1 1" ] in
+  with_launched ~config:batch_config (forked ~faults:(fsync_always ()) ())
+    (fun s ->
+      let conns =
+        List.map
+          (fun ls -> (connect s.port, reader (), ls))
+          [ setup :: lines; lines ]
+      in
+      send_all conns;
+      List.iter
+        (fun (fd, lb, _) ->
+          (match read_frame fd lb with
+          | `Frame [ r ] when String.starts_with ~prefix:"err transient " r -> ()
+          | `Frame r -> Alcotest.failf "want err transient, got %s" (String.concat "|" r)
+          | `Eof | `Timeout -> Alcotest.fail "no reply with every shard down");
+          (match read_frame fd lb with
+          | `Eof -> ()
+          | `Frame r -> Alcotest.failf "reply after refusal: %s" (String.concat "|" r)
+          | `Timeout -> Alcotest.fail "refused connection left open");
+          Unix.close fd)
+        conns;
+      (* a connection made after the refusals is refused the same way *)
+      let fd = connect s.port in
+      (match read_frame fd (reader ()) with
+      | `Frame [ r ] when String.starts_with ~prefix:"err transient " r -> ()
+      | _ -> Alcotest.fail "late connection not refused");
+      Unix.close fd)
+
 (* ------------------------------------------------------------------ *)
 
 (* One case per launcher; the N=1 case keeps the bare name. *)
@@ -1182,6 +1219,8 @@ let () =
             (no_answer_without_fsync
                (journaled ~faults:(fsync_always ())
                   ~seed:[ setup; "stream new demo eps=0.1 N=64" ] ()));
+          Alcotest.test_case "no answer without fsync N=2" `Quick
+            no_shard_refuses;
           Alcotest.test_case "half-close still gets its reply" `Quick
             half_close_gets_reply;
         ] );
